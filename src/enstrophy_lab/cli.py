@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .dynamics import dealias_grid_size, drift
+from .dynamics import dealias_grid_size, drift, env_workers
 from .fields import SpectralField, sobolev_norm
 from .flow import FlowParams
 from .measure import MeasureSpec, sample_white_noise
@@ -60,6 +60,14 @@ def _need(params: dict, field_path: str, key: str, typ, default=None):
     if not isinstance(val, typ):
         raise ConfigError(f"{field_path}.{key}", f"expected {typ.__name__}, got {type(val).__name__}")
     return val
+
+
+def _check_seed(seed, field: str) -> None:
+    # bool is an int subclass; SeedSequence would take True as seed 1.
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(field, "must be an integer")
+    if seed < 0:
+        raise ConfigError(field, f"must be non-negative, got {seed}")
 
 
 def _field(params: dict, path: str, key: str, default: str) -> SpectralField:
@@ -187,8 +195,7 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
     cfg["_sha256"] = hashlib.sha256(raw).hexdigest()
-    if not isinstance(cfg.get("seed", 0), int):
-        raise ConfigError("seed", "must be an integer")
+    _check_seed(cfg.get("seed", 0), "seed")
     tests = cfg.get("tests", [])
     if not isinstance(tests, list):
         raise ConfigError("tests", "must be a list")
@@ -216,14 +223,16 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
     """Execute the selected batteries and write reports, summary, manifest."""
     try:
         cfg = load_config(config_path)
-    except ConfigError as exc:
+        if seed_override is not None:
+            _check_seed(seed_override, "--seed-override")
+        workers = env_workers() or 1
+    except (ConfigError, ValueError) as exc:  # ValueError: ENSTROPHY_LAB_WORKERS
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     out = out_dir or cfg.get("out_dir", "reports")
     os.makedirs(out, exist_ok=True)
     tests = cfg.get("tests", [])
-    workers = int(os.environ.get("ENSTROPHY_LAB_WORKERS", "1") or 1)
 
     def execute(i_entry):
         i, entry = i_entry

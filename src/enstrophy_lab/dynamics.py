@@ -53,6 +53,20 @@ from .fields import (
 _TWO_PI_I = 2j * np.pi
 
 
+def env_workers() -> int | None:
+    """ENSTROPHY_LAB_WORKERS as an integer >= 1, or None when unset or empty."""
+    raw = os.environ.get("ENSTROPHY_LAB_WORKERS", "")
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"ENSTROPHY_LAB_WORKERS must be an integer >= 1, got {raw!r}")
+    return value
+
+
 def fft_workers() -> int | None:
     """Worker budget for batched transforms; capped by ENSTROPHY_LAB_WORKERS.
 
@@ -60,13 +74,8 @@ def fft_workers() -> int | None:
     independent), only throughput.
     """
     cpus = os.cpu_count() or 1
-    cap = os.environ.get("ENSTROPHY_LAB_WORKERS")
-    if cap:
-        try:
-            cpus = max(1, min(cpus, int(cap)))
-        except ValueError:
-            pass
-    return cpus
+    cap = env_workers()
+    return min(cpus, cap) if cap else cpus
 
 
 def _inverse_norm_sq(cutoff: int) -> np.ndarray:

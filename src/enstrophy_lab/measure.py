@@ -5,7 +5,10 @@ lattice (plus a real standard normal zero mode), which realizes the
 covariance  E <w,phi><w,psi> = <phi,psi>_{H^0}  on the cutoff lattice.
 Streams are counter based: sample `index` under seed `s` is generated by a
 Philox generator keyed by (s, index), so ensembles are reproducible and
-order independent.
+order independent.  The key is derived exactly as
+``SeedSequence(entropy=s, spawn_key=(index,))`` derives it, vectorised over
+a batch of indices, so every stream is the one that numpy's own seeding
+gives.
 
 Densities ride along trajectories as importance weights.  Pushing an
 ensemble forward moves the member fields with the flow and leaves weights
@@ -18,6 +21,8 @@ in the distribution tests of the verification batteries.
 from __future__ import annotations
 
 import csv
+import functools
+import operator
 import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -47,44 +52,131 @@ class MeasureSpec:
     seed: int = 0
 
 
-def _half_indices(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    hi, hj = np.nonzero(half_lattice_mask(cutoff))
-    return hi, hj
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) restated on
+# uint32 words; the same code runs on Python ints and on uint32 arrays.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# Rows drawn and assembled per block; small blocks keep the temporaries
+# (draws, values, conjugates) a few MB even at N=32.
+_CHUNK_ROWS = 64
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    nxt = (const * mult) & _MASK32
+    value = ((value ^ const) * nxt) & _MASK32
+    return value ^ (value >> 16), nxt
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n, as SeedSequence splits an int."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _philox_keys(seed: int, indices: Sequence[int]) -> np.ndarray:
+    """(M, 2) uint64 Philox keys, bit for bit those of
+    ``SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(2, np.uint64)``.
+
+    The seed words, zero-padded to the pool size as SeedSequence pads them
+    ahead of a spawn key, give a pool that is the same for every index; only
+    the rounds of the index words and the output hash run per index.
+    """
+    words = _uint32_words(operator.index(seed))
+    words += [0] * (_POOL_SIZE - len(words))
+    seed_pool = np.random.SeedSequence(words).pool.tolist()
+    # mixing L seed words into the pool takes 4L hashmix steps, each one
+    # multiplying the hash constant by _MULT_A
+    const = (_INIT_A * pow(_MULT_A, _POOL_SIZE * len(words), 1 << 32)) & _MASK32
+
+    ids = [operator.index(i) for i in indices]
+    if not ids:
+        return np.zeros((0, 2), dtype=np.uint64)
+    if min(ids) < 0:
+        raise ValueError("expected non-negative integer")
+    top = max(ids)
+    ids = np.array(ids, dtype=np.uint64 if top < 2**64 else object)
+    pool = [np.full(len(ids), p, dtype=np.uint32) for p in seed_pool]
+    for shift in range(0, max(top.bit_length(), 1), 32):
+        shifted = ids >> shift
+        word = (shifted & _MASK32).astype(np.uint32)
+        mixed = []
+        for old in pool:
+            h, const = _hashmix(word, const)
+            mixed.append(_mix(old, h))
+        # Every index has word 0; a later word only while the index reaches it.
+        pool = mixed if shift == 0 else [np.where(shifted > 0, new, old)
+                                         for new, old in zip(mixed, pool)]
+
+    const = _INIT_B
+    state = []
+    for value in pool:
+        value, const = _hashmix(value, const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _half_layout(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the canonical half lattice and of their mirrors -n."""
+    d = 2 * cutoff + 1
+    flat = np.flatnonzero(half_lattice_mask(cutoff))
+    mirror = (d * d - 1) - flat
+    flat.setflags(write=False)
+    mirror.setflags(write=False)
+    return flat, mirror
+
+
+def sample_batch(spec: MeasureSpec, indices: Sequence[int]) -> np.ndarray:
+    """Stacked coefficient tables; row i is a pure function of (spec, indices[i]).
+
+    Each row is one draw of ``1 + 2h`` standard normals from its own Philox
+    stream (zero mode, then the real and the imaginary parts of the h
+    half-lattice modes); one generator is re-keyed per row.
+    """
+    d = 2 * spec.cutoff + 1
+    flat, mirror = _half_layout(spec.cutoff)
+    h = len(flat)
+    keys = _philox_keys(spec.seed, indices)
+    m = len(keys)
+    out = np.zeros((m, d * d), dtype=complex)
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    # A fresh Philox(key=k): counter 0 and an empty output buffer.
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    draws = np.empty((min(m, _CHUNK_ROWS), 1 + 2 * h))
+    for start in range(0, m, _CHUNK_ROWS):
+        rows = draws[: min(_CHUNK_ROWS, m - start)]
+        for row, key in zip(rows, keys[start : start + len(rows)].tolist()):
+            state["state"]["key"] = key
+            bitgen.state = state
+            gen.standard_normal(out=row)
+        block = out[start : start + len(rows)]
+        vals = (rows[:, 1 : 1 + h] + 1j * rows[:, 1 + h :]) / np.sqrt(2.0)
+        block[:, flat] = vals
+        block[:, mirror] = np.conj(vals)
+        if spec.include_zero_mode:
+            block[:, (d * d) // 2] = rows[:, 0]
+    return out.reshape(m, d, d)
 
 
 def sample_coeffs(spec: MeasureSpec, index: int) -> np.ndarray:
     """Coefficient table of sample `index`; pure function of (spec, index)."""
-    d = 2 * spec.cutoff + 1
-    hi, hj = _half_indices(spec.cutoff)
-    h = len(hi)
-    g = _stream(spec.seed, index)
-    draws = g.standard_normal(1 + 2 * h)
-    out = np.zeros((d, d), dtype=complex)
-    vals = (draws[1 : 1 + h] + 1j * draws[1 + h :]) / np.sqrt(2.0)
-    out[hi, hj] = vals
-    out[(d - 1) - hi, (d - 1) - hj] = np.conj(vals)
-    if spec.include_zero_mode:
-        out[spec.cutoff, spec.cutoff] = draws[0]
-    return out
+    return sample_batch(spec, [index])[0]
 
 
 def sample_white_noise(spec: MeasureSpec, index: int) -> SpectralField:
     """One sample of the cutoff white-noise field."""
     return SpectralField(spec.cutoff, sample_coeffs(spec, index))
-
-
-def sample_batch(spec: MeasureSpec, indices: Sequence[int]) -> np.ndarray:
-    """Stacked coefficient tables for the given stream indices."""
-    d = 2 * spec.cutoff + 1
-    out = np.empty((len(indices), d, d), dtype=complex)
-    for row, idx in enumerate(indices):
-        out[row] = sample_coeffs(spec, int(idx))
-    return out
 
 
 def pairings_batch(coeffs: np.ndarray, cutoff: int, phis: Sequence[SpectralField]) -> np.ndarray:

@@ -67,6 +67,8 @@ from .measure import (
 class TestReport:
     """Outcome of one battery; serializes without the runtime field."""
 
+    __test__ = False  # not a pytest test class despite the name
+
     name: str
     params: dict
     seed: int

@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+import enstrophy_lab
 from enstrophy_lab.cli import BATTERY_BUILDERS, ConfigError, bench, load_config, main, run
+from enstrophy_lab.dynamics import env_workers, fft_workers
 
 
 def write_cfg(path, payload):
@@ -61,6 +63,45 @@ class TestConfigValidation:
             load_config(path)
         assert info.value.field == "seed"
 
+    @pytest.mark.parametrize("seed", [-3, True, False])
+    def test_negative_or_bool_seed_rejected(self, tmp_path, capsys, seed):
+        # SeedSequence raises on a negative seed inside every battery and
+        # takes True as seed 1; both are config errors instead
+        cfg = write_cfg(tmp_path / "c.json", dict(QUICK, seed=seed))
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=str(out)) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.field == "seed"
+
+    @pytest.mark.parametrize("seed", [-3, True])
+    def test_bad_seed_override_rejected(self, tmp_path, capsys, seed):
+        cfg = write_cfg(tmp_path / "c.json", QUICK)
+        assert run(cfg, out_dir=str(tmp_path / "out"), seed_override=seed) == 2
+        assert "--seed-override" in capsys.readouterr().err
+
+    def test_negative_seed_override_flag(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.json", QUICK)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out"), "--seed-override", "-3"]) == 2
+        assert "--seed-override" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+    def test_bad_workers_variable_named(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", value)
+        cfg = write_cfg(tmp_path / "c.json", QUICK)
+        assert run(cfg, out_dir=str(tmp_path / "out")) == 2
+        assert "ENSTROPHY_LAB_WORKERS" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="ENSTROPHY_LAB_WORKERS"):
+            fft_workers()
+
+    def test_workers_variable_caps_transforms(self, monkeypatch):
+        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "1")
+        assert env_workers() == 1 and fft_workers() == 1
+        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "")
+        assert env_workers() is None and fft_workers() == (os.cpu_count() or 1)
+
 
 class TestRun:
     def test_empty_selection(self, tmp_path):
@@ -101,6 +142,30 @@ class TestRun:
         b = json.loads((out2 / "wick_mean.json").read_text())
         assert a["summary"]["mc_mean"] != b["summary"]["mc_mean"]
         assert b["seed"] == 99
+
+    def test_battery_threads_do_not_change_bytes(self, tmp_path):
+        # batteries at two cutoffs share the sampler's layout cache across
+        # the battery thread pool; worker count must not change any byte
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 11,
+            "tests": [
+                {"name": "wick_mean", "params": {"N": 3, "M": 3000, "kernel": "rank_one", "phi": "cos_x1"}},
+                {"name": "moment_bound", "params": {"N": 5, "M": 3000, "p": 2}},
+            ],
+        })
+        src = os.path.dirname(os.path.dirname(enstrophy_lab.__file__))
+        digests = {}
+        for workers in ("2", "1"):
+            env = dict(os.environ, ENSTROPHY_LAB_WORKERS=workers,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"w{workers}"
+            proc = subprocess.run([sys.executable, "-m", "enstrophy_lab.cli", "run", cfg,
+                                   "--out-dir", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests[workers] = json.loads((out / "manifest.json").read_text())["files"]
+        assert digests["2"] == digests["1"]
+        assert len(digests["1"]) == 5  # two reports, two tables, summary
 
     def test_battery_failure_exits_one_and_preserves_artifacts(self, tmp_path):
         # a negative control without an actual drift shift must fail

@@ -1,5 +1,9 @@
 """White-noise sampler, densities, ensembles, transport, weak-form residual."""
 
+import concurrent.futures
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,8 @@ from enstrophy_lab.measure import (
     save_ensemble,
     weak_form_residual,
     write_estimates_csv,
+    _half_layout,
+    _philox_keys,
 )
 
 SPEC = MeasureSpec(cutoff=4, seed=123)
@@ -73,6 +79,108 @@ class TestSampler:
         prod = (a * b).real
         se = prod.std(ddof=1) / np.sqrt(len(prod))
         assert abs(prod.mean()) <= 3 * se
+
+
+# sha256 of sample_batch(...).tobytes() for GOLDEN_INDICES, keyed by
+# (seed, cutoff, include_zero_mode).  Recorded from the original
+# per-sample sampler, Generator(Philox(SeedSequence(entropy=seed,
+# spawn_key=(index,)))).standard_normal(1 + 2h) per index, so any change to
+# a stream, to the layout or to the block assembly shows here.
+GOLDEN_INDICES = [7, 3, 0, 2**32 + 1] + list(range(100, 170))
+GOLDEN_DIGESTS = {
+    (0, 1, True): "07a435936b81d8f931898b8033df8c486dbf56567424656ff00d6848facce245",
+    (0, 1, False): "bd301c5cc4a867473200a0ba34b5783f6d7374acabb58610c30de43b960360c6",
+    (0, 4, True): "3d6ef408fcfea16d2d935890109e93d6e07175f84e05568c1d0aa55e11bfa45d",
+    (0, 4, False): "e97aa0b3365c71cb8ab1822494b3d55c1f1fc809501910f2ac1e0fdfe6548c53",
+    (0, 16, True): "069bada84b7f58194b45e4ef980b543a432856c23cbc4b9c6249b105d42458e1",
+    (0, 16, False): "711638bde77a9781526ae08a8e170dcdc768cd9a8ec07f71d7f1eeaf563d9caa",
+    (0, 32, True): "0442c4cdeac6a5a32e55757d3516cb1a12b9ffeb0563b27dd7d5687b415a89d2",
+    (0, 32, False): "60dd19db017deb5e9cd5347d0ab57a86e11f7cc01015d2ce59834389bd07899d",
+    (123, 1, True): "ca9ceec831681459a9e0771611a5636f4f8ea69edea61be28a1b0c4219cdd923",
+    (123, 1, False): "0116d3d89d255d8e1bfac7cdb5106eb8679df327370d2fd3c61b51ee62215957",
+    (123, 4, True): "26a2caed08d5ac3596cafa83c2f6b0076e5cdeade87875d40f49615817cc4d52",
+    (123, 4, False): "2259fabea415fadbf6191fcbecca0668bec804ef4b31a5e62e7e4e8f576498c1",
+    (123, 16, True): "74ad885aab493bd886504603969fdf7016526b6fcfa14745af548382f84b5b62",
+    (123, 16, False): "0c9e1cb09a25c092ccb60d6b248da9483cbab3416b700d2bd969f852d16eee33",
+    (123, 32, True): "57d1378eb609e0e272ed052d01f6bddf1253d2462da50bc6894c078916d9085a",
+    (123, 32, False): "65306e80688e93ffefbdf8d6067c209f837da5c305b7c19ec180bb858e1b49ea",
+    (20260801, 1, True): "ad2d695a60b49d0323c9849b5aafb1f751d262430863f1553460a67942f19c6a",
+    (20260801, 1, False): "fe2672c037c1db6bc50974856e5e29be9d19b8c9103fb346024854c7166cb952",
+    (20260801, 4, True): "cb0f198e237601377dd824373454f41fad45b4d935d2baff4dcac54e4c9eaefa",
+    (20260801, 4, False): "263b89233a68032abb8c2e00e58dc6f70df83513a37c4102286dbd1a8a4ca6b6",
+    (20260801, 16, True): "ab11a770d2b637f546a1ca72f4698236645c41e034e262efd9a40f07a4141faf",
+    (20260801, 16, False): "ae3db2c016eed5d9969bfd2f1af7d84f8c3bdafae9add0b43033fb3e07314c9e",
+    (20260801, 32, True): "38efb641e87f95dcaa9e35419a86bf54d65d780da1d016a23c5f600fd750fab1",
+    (20260801, 32, False): "475d9d6c965257d55851bf51a3aa8ca6420c0715c050a9abe0b339f9f1fb2e1f",
+    (2**64 + 5, 1, True): "9c449b8db4a3c95e9acb3d06a8f3a16527afb48cbf7719523985d3453371b0c0",
+    (2**64 + 5, 1, False): "4027a5088335a3c6ccd50485f04b2b2693cbc0d924ad745825e1bc049c8a9aa9",
+    (2**64 + 5, 4, True): "a7b325d596e42ae1cba97e7ba94afe978167800cff394e2fb7112fe4de27ed09",
+    (2**64 + 5, 4, False): "aca7faa2fd72afb0f8adb09697e33204a8d2bdcc1bd6f1e89bb2ea56d2d60b68",
+    (2**64 + 5, 16, True): "f1859fd567eade11a2783b3f1349a45a154d1b9e2c8fb5711038d3bdcf22ac44",
+    (2**64 + 5, 16, False): "3e0d79167cd178d23196182202f4c78cb0a3b6d6c17dfbfee7bbc954c8c4dabb",
+    (2**64 + 5, 32, True): "f5ba2dac1a76eaf2052f547bc1c2354f21839d1f380ec44a0f0268b0747a97f5",
+    (2**64 + 5, 32, False): "9b080e50d5fb681c27440a60e857c22db5eac96d6d1ce94320fc1594a14d491f",
+}
+
+
+def _reference_key(seed: int, index: int) -> np.ndarray:
+    return np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(2, np.uint64)
+
+
+class TestSamplerBytes:
+    @pytest.mark.parametrize("seed,cutoff,zero", list(GOLDEN_DIGESTS))
+    def test_golden_bytes(self, seed, cutoff, zero):
+        spec = MeasureSpec(cutoff=cutoff, include_zero_mode=zero, seed=seed)
+        batch = sample_batch(spec, GOLDEN_INDICES)
+        assert batch.shape == (len(GOLDEN_INDICES), 2 * cutoff + 1, 2 * cutoff + 1)
+        assert hashlib.sha256(batch.tobytes()).hexdigest() == GOLDEN_DIGESTS[(seed, cutoff, zero)]
+
+    @pytest.mark.parametrize("seed", [0, 123, 20260801, 2**64 + 5, 2**200 + 3])
+    def test_keys_match_seed_sequence(self, seed):
+        # dense low indices, then indices of two and three 32-bit words
+        indices = list(range(4990)) + [2**32 - 1, 2**32, 2**32 + 1, 2**40 + 9, 2**63,
+                                       2**64 - 1, 2**64, 2**64 + 3, 2**100]
+        expected = np.array([_reference_key(seed, i) for i in indices])
+        assert np.array_equal(_philox_keys(seed, indices), expected)
+        assert np.array_equal(_philox_keys(seed, np.arange(4990)), expected[:4990])
+
+    @pytest.mark.parametrize("seed,index", [(-3, 0), (0, -1)])
+    def test_negative_seed_or_index_raises_like_seed_sequence(self, seed, index):
+        with pytest.raises(ValueError, match="expected non-negative integer") as ours:
+            _philox_keys(seed, [index])
+        with pytest.raises(ValueError) as ref:
+            _reference_key(seed, index)
+        assert str(ours.value) == str(ref.value)
+
+    def test_empty_and_single_index(self):
+        assert sample_batch(SPEC, []).shape == (0, 9, 9)
+        assert np.array_equal(sample_coeffs(SPEC, 2**32 + 1),
+                              sample_batch(SPEC, GOLDEN_INDICES)[3])
+
+    def test_threads_share_layout_cache(self):
+        # more threads than cores, frequent switches, a cold cache: every
+        # thread must see the serial bytes
+        specs = [MeasureSpec(cutoff=n, include_zero_mode=n % 2 == 0, seed=5) for n in range(1, 7)]
+        serial = [sample_batch(spec, range(40)) for spec in specs]
+        _half_layout.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(sample_batch, spec, range(40)) for spec in specs * 4]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, batch in enumerate(results):
+            assert np.array_equal(batch, serial[i % len(specs)])
+
+    def test_layout_read_only_and_tables_writable(self):
+        flat, mirror = _half_layout(SPEC.cutoff)
+        assert not flat.flags.writeable and not mirror.flags.writeable
+        assert len(flat) == (9 * 9 - 1) // 2
+        # the returned tables are fresh and writable
+        batch = sample_batch(SPEC, [0, 1])
+        batch[0, 0, 0] = 1.0
 
 
 class TestDensities:
