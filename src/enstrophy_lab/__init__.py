@@ -6,7 +6,7 @@ density transport), `verify` (statistical batteries), `cli` (experiment
 driver).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .fields import (
     GridField,

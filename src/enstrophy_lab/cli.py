@@ -255,6 +255,14 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # report names come from the batteries; check them before writing any
+    writers: dict[str, int] = {}
+    for i, rep in enumerate(reports):
+        if rep.name in writers:
+            print(f"config error: tests[{writers[rep.name]}] and tests[{i}] both write "
+                  f"report {rep.name!r} ({rep.name}.json)", file=sys.stderr)
+            return 2
+        writers[rep.name] = i
 
     files = []
     for rep in reports:

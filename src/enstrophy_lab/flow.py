@@ -66,38 +66,62 @@ def _batch_norm(coeffs: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)))))
 
 
+def _rk4_from(state: np.ndarray, k1: np.ndarray, dt: float, drift_fn: DriftFn) -> np.ndarray:
+    """One classical rk4 step from `state`, given k1 = drift_fn(state)."""
+    k2 = drift_fn(state + (0.5 * dt) * k1)
+    k3 = drift_fn(state + (0.5 * dt) * k2)
+    k4 = drift_fn(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _step_rk4(coeffs: np.ndarray, dt: float, drift_fn: DriftFn) -> np.ndarray:
-    k1 = drift_fn(coeffs)
-    k2 = drift_fn(coeffs + 0.5 * dt * k1)
-    k3 = drift_fn(coeffs + 0.5 * dt * k2)
-    k4 = drift_fn(coeffs + dt * k3)
-    return coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4_from(coeffs, drift_fn(coeffs), dt, drift_fn)
 
 
-def _midpoint_failure(inc: np.ndarray, tol_abs: float, dt: float, max_iter: int) -> StepFailure:
+def _midpoint_failure(inc: np.ndarray, tol_abs: float, dt: float, sweeps: int,
+                      diverged: bool = False) -> StepFailure:
     bad = ~(inc <= tol_abs)  # catches overflow to NaN as well
     resid = float(inc.max())
     if not np.isfinite(resid):
         resid = float("inf")
+    what = (f"diverged at sweep {sweeps}" if diverged
+            else f"did not converge in {sweeps} iterations")
     return StepFailure(
-        f"implicit midpoint did not converge in {max_iter} iterations "
+        f"implicit midpoint {what} "
         f"(residual {resid:.3e}, dt={dt}); halving dt may help",
-        iterations=max_iter,
+        iterations=sweeps,
         residual=resid,
         member_mask=np.atleast_1d(bad),
     )
 
 
-def _step_midpoint(coeffs: np.ndarray, dt: float, drift_fn: DriftFn, tol: float, max_iter: int) -> np.ndarray:
-    scale = max(1.0, _batch_norm(coeffs))
-    state = coeffs + dt * drift_fn(coeffs)  # explicit predictor
-    for _ in range(max_iter):
-        new = coeffs + dt * drift_fn(0.5 * (coeffs + state))
+def _midpoint_from(base: np.ndarray, k1: np.ndarray, dt: float, drift_fn: DriftFn,
+                   tol_abs: float, max_iter: int) -> np.ndarray:
+    """Solve w' = base + dt * b((base + w')/2) from the predictor base + dt * k1.
+
+    A contraction shrinks the largest increment from sweep to sweep, so an
+    increment that is not finite or exceeds the first sweep's stops the
+    iteration at once, before it can overflow.
+    """
+    state = base + dt * k1
+    first = None
+    for sweep in range(1, max_iter + 1):
+        new = base + dt * drift_fn(0.5 * (base + state))
         inc = np.sqrt(np.sum(np.abs(new - state) ** 2, axis=(-2, -1)))
         state = new
-        if inc.max() <= tol * scale:
+        worst = inc.max()
+        if worst <= tol_abs:
             return state
-    raise _midpoint_failure(inc, tol * scale, dt, max_iter)
+        if first is None:
+            first = worst
+        if not (np.isfinite(worst) and worst <= first):
+            raise _midpoint_failure(inc, tol_abs, dt, sweep, diverged=True)
+    raise _midpoint_failure(inc, tol_abs, dt, max_iter)
+
+
+def _step_midpoint(coeffs: np.ndarray, dt: float, drift_fn: DriftFn, tol: float, max_iter: int) -> np.ndarray:
+    scale = max(1.0, _batch_norm(coeffs))
+    return _midpoint_from(coeffs, drift_fn(coeffs), dt, drift_fn, tol * scale, max_iter)
 
 
 def _step_midpoint_fused(coeffs: np.ndarray, dt: float, drv: SpectralDrift,
@@ -106,14 +130,8 @@ def _step_midpoint_fused(coeffs: np.ndarray, dt: float, drv: SpectralDrift,
     # each sweep costs three transforms and no embedding copies
     scale = max(1.0, _batch_norm(coeffs))
     base = drv.pad(coeffs)
-    state = base + dt * drv.padded_drift(base)
-    for _ in range(max_iter):
-        new = base + dt * drv.padded_drift(0.5 * (base + state))
-        inc = np.sqrt(np.sum(np.abs(new - state) ** 2, axis=(-2, -1)))
-        state = new
-        if inc.max() <= tol * scale:
-            return drv.unpad(state)
-    raise _midpoint_failure(inc, tol * scale, dt, max_iter)
+    return drv.unpad(_midpoint_from(base, drv.padded_drift(base), dt, drv.padded_drift,
+                                    tol * scale, max_iter))
 
 
 def _step_batch(coeffs: np.ndarray, params: FlowParams, drift_fn: Optional[DriftFn] = None,
@@ -128,6 +146,20 @@ def _step_batch(coeffs: np.ndarray, params: FlowParams, drift_fn: Optional[Drift
     return _step_midpoint(coeffs, params.dt, drift_fn, params.midpoint_tol, params.midpoint_max_iter)
 
 
+def _advance(state: np.ndarray, k1: np.ndarray, params: FlowParams, drift_fn: DriftFn,
+             scale_from: np.ndarray) -> np.ndarray:
+    """One step of the configured scheme from `state`, given k1 = drift_fn(state).
+
+    `state` may be padded.  `scale_from` holds the same tables, padded or
+    not; its largest norm scales the midpoint tolerance.
+    """
+    if params.integrator == "rk4":
+        return _rk4_from(state, k1, params.dt, drift_fn)
+    scale = max(1.0, _batch_norm(scale_from))
+    return _midpoint_from(state, k1, params.dt, drift_fn, params.midpoint_tol * scale,
+                          params.midpoint_max_iter)
+
+
 def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
                 n_steps: int) -> np.ndarray:
     """Integrate n_steps entirely in the padded transform layout.
@@ -135,29 +167,9 @@ def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
     Stage combinations stay inside the retained lattice because the drift
     output is masked, so padding once per trajectory is exact.
     """
-    dt = params.dt
     state = drv.pad(coeffs)
-    if params.integrator == "rk4":
-        for _ in range(n_steps):
-            k1 = drv.padded_drift(state)
-            k2 = drv.padded_drift(state + (0.5 * dt) * k1)
-            k3 = drv.padded_drift(state + (0.5 * dt) * k2)
-            k4 = drv.padded_drift(state + dt * k3)
-            state += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return drv.unpad(state)
-    tol, max_iter = params.midpoint_tol, params.midpoint_max_iter
     for _ in range(n_steps):
-        scale = max(1.0, float(np.sqrt(np.max(np.sum(np.abs(state) ** 2, axis=(-2, -1))))))
-        guess = state + dt * drv.padded_drift(state)
-        for _ in range(max_iter):
-            new = state + dt * drv.padded_drift(0.5 * (state + guess))
-            inc = np.sqrt(np.sum(np.abs(new - guess) ** 2, axis=(-2, -1)))
-            guess = new
-            if inc.max() <= tol * scale:
-                break
-        else:
-            raise _midpoint_failure(inc, tol * scale, dt, max_iter)
-        state = guess
+        state = _advance(state, drv.padded_drift(state), params, drv.padded_drift, state)
     return drv.unpad(state)
 
 

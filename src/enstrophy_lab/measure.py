@@ -40,7 +40,7 @@ from .fields import (
     save_field_csv,
     sobolev_norm,
 )
-from .flow import FlowParams, StepFailure, _run_padded, _step_batch
+from .flow import FlowParams, StepFailure, _advance, _run_padded, _step_batch
 
 
 @dataclass(frozen=True)
@@ -330,8 +330,11 @@ def pushforward(ensemble: Ensemble, params: FlowParams,
 
     Weights transported along trajectories are exactly the time-t density at
     the member's current position, so they are reused bitwise.  Members are
-    integrated in chunks: trajectories never interact, so the partition
-    affects throughput only.
+    integrated in chunks of `chunk_size`, each padded once.  Trajectories
+    never interact, so rk4 results do not depend on the partition; the
+    implicit midpoint rule does, in the last bits (about 1e-12), because it
+    scales its tolerance by the chunk's largest norm and sweeps until the
+    chunk's slowest member converges.
     """
     if params.cutoff != ensemble.spec.cutoff:
         raise ValueError("flow cutoff does not match ensemble cutoff")
@@ -383,6 +386,12 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
     horizon.  Test fields of the functional must live inside the cutoff
     lattice; the time quadrature contributes an O(dt^2) bias on top of the
     Monte Carlo error.
+
+    A `SpectralDrift` chunk is padded once and stepped in the padded
+    transform layout, like `pushforward`; any other drift callable steps in
+    the lattice layout.  Either way the drift b_N(w_k) of the pairing term
+    is the k1 of the step from t_k, so an rk4 step costs four drift
+    evaluations and only the horizon adds one.
     """
     n = params.cutoff
     if abs(functional.horizon - params.t_end) > 1e-12 * max(1.0, params.t_end):
@@ -392,7 +401,9 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
             raise ValueError(f"test field {j} is not supported inside the cutoff lattice")
     if drift_fn is None:
         drift_fn = SpectralDrift(n, workers=workers)
-    base_fn = drift_fn
+    padded = isinstance(drift_fn, SpectralDrift)
+    fn = drift_fn.padded_drift if padded else drift_fn
+    unpad = drift_fn.unpad if padded else (lambda a: a)
     m = len(ensemble)
     totals = np.zeros(m)
     steps = params.n_steps
@@ -400,21 +411,23 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
     bounds = functional.empirical_bounds(pair_all0)
     for start in range(0, m, chunk_size):
         sl = slice(start, min(start + chunk_size, m))
-        coeffs = np.array(ensemble.coeffs[sl])
-        block = np.zeros(coeffs.shape[0])
+        state = drift_fn.pad(ensemble.coeffs[sl]) if padded else np.array(ensemble.coeffs[sl])
+        block = np.zeros(state.shape[0])
         pair0 = pair_all0[sl]
         for k in range(steps + 1):
             t = k * params.dt
+            coeffs = unpad(state)
             pair = pair0 if k == 0 else pairings_batch(coeffs, n, functional.phis)
             integrand = functional.dt_value(t, pair)
+            # the step's k1 is the drift b(w_k) that the pairing needs
+            k1 = fn(state) if k < steps or functional.n_pairings else None
             if functional.n_pairings:
-                b = base_fn(coeffs)
-                drift_pairs = pairings_batch(b, n, functional.phis)
+                drift_pairs = pairings_batch(unpad(k1), n, functional.phis)
                 integrand = integrand + np.sum(functional.pairing_gradient(t, pair) * drift_pairs, axis=-1)
             tw = params.dt * (0.5 if k in (0, steps) else 1.0)
             block += tw * integrand
             if k < steps:
-                coeffs = _step_batch(coeffs, params, drift_fn, workers)
+                state = _advance(state, k1, params, fn, coeffs)
         totals[sl] = block + functional.value(0.0, pair0)
     x = ensemble.weights * totals
     residual = float(np.mean(x))

@@ -88,7 +88,7 @@ class TestReport:
             "table": _plain(self.table),
             "notes": list(self.notes),
         }
-        return json.dumps(payload, sort_keys=True, indent=1)
+        return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
 
     def write(self, out_dir) -> list[str]:
         """Write <name>.json and, when a table exists, <name>.csv; atomic."""
@@ -114,7 +114,9 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None  # RFC 8259 JSON has no NaN or infinity
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.ndarray):

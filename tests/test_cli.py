@@ -186,6 +186,47 @@ class TestRun:
         assert (out / "wick_mean.json").exists()
 
 
+    @pytest.mark.parametrize("tests,pair", [
+        ([{"name": "wick_mean", "params": {"N": 2, "M": 200, "kernel": "exchange"}},
+          {"name": "wick_mean", "params": {"N": 3, "M": 200, "kernel": "exchange"}}], (0, 1)),
+        ([{"name": "moment_bound", "params": {"N": 2, "M": 200, "p": 3}},
+          {"name": "moment_bound", "params": {"N": 2, "M": 200, "p": 2}},
+          {"name": "moment_bound", "params": {"N": 3, "M": 200}}], (1, 2)),
+    ])
+    def test_duplicate_report_names_rejected(self, tmp_path, capsys, tests, pair):
+        # two entries that write one <name>.json: exit 2 naming both, and
+        # leave every file in the output directory as it was
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 1, "tests": tests})
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = {"wick_mean.json": "old\n", "moment_bound_p2.json": "old\n"}
+        for name, text in stale.items():
+            (out / name).write_text(text)
+        assert run(cfg, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"tests[{pair[0]}] and tests[{pair[1]}]" in err
+        assert sorted(os.listdir(out)) == sorted(stale)
+        for name, text in stale.items():
+            assert (out / name).read_text() == text
+
+    def test_reports_are_strict_json(self, tmp_path):
+        # the transport report's route rows have no target: null, not NaN
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 2, "tests": [
+            {"name": "transport", "params": {"N": 2, "M": 40, "T": 0.02, "dt": 0.01,
+                                             "integrator": "rk4"}}]})
+        out = tmp_path / "out"
+        run(cfg, out_dir=str(out))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((out / "transport.json").read_text(), parse_constant=reject)
+        targets = {row["quantity"]: row["target"] for row in report["table"]}
+        assert targets["pushforward_route"] is None and targets["pullback_route"] is None
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+        assert manifest["version"] == enstrophy_lab.__version__
+
+
 class TestBundledConfig:
     def test_quickcheck_resource_parses(self):
         import importlib.resources as res

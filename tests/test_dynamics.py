@@ -1,5 +1,9 @@
 """Biot-Savart reconstruction, drift strategies, and the quadratic form."""
 
+import concurrent.futures
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from enstrophy_lab.dynamics import (
     quadratic_pairing_batch,
 )
 from enstrophy_lab.fields import SpectralField, dual_pairing, mode_grids, project, sobolev_norm, to_grid
+from enstrophy_lab.measure import MeasureSpec, sample_batch
 from conftest import white_field
 
 
@@ -144,6 +149,79 @@ class TestDrift:
         drv = SpectralDrift(3, shift=shift, sign=-1.0)
         expected = -(drift(w, 3).coeffs + shift)
         assert np.abs(drv(w.coeffs) - expected).max() <= 1e-14
+
+
+def _padded_case(cutoff: int, sign: float, shifted: bool, count: int = 5):
+    """A SpectralDrift and a padded batch of white-noise tables for it."""
+    shift = None
+    if shifted:
+        shift = 2.5 * sample_batch(MeasureSpec(cutoff=cutoff, seed=7), [0])[0]
+    drv = SpectralDrift(cutoff, shift=shift, sign=sign)
+    coeffs = sample_batch(MeasureSpec(cutoff=cutoff, seed=20260801), range(count))
+    return drv, drv.pad(coeffs)
+
+
+# sha256 of padded_drift output bytes, recorded before the drift reused
+# scratch buffers; keys are (cutoff, sign, shifted)
+PADDED_DRIFT_DIGESTS = {
+    (4, 1.0, False): "a50e13543428a27797afd9680575351a84256740bdf64947364cc679e9e464c9",
+    (4, -1.0, False): "a357e4f1987dc6f3cf2a40cbefe9e138e904e3e91df7142d6381de3cd46cad14",
+    (4, 1.0, True): "1f81bae3e526813404bd4ca6cfc9bfdafa0fa1c7f351616aad47d09db76169ff",
+    (4, -1.0, True): "8d3aeeb6049580a6e1a0bf46ea7f0e5873afeb6d36c91784f8155cd8fda371bb",
+    (8, 1.0, False): "808fbce0956d2203d9f0a445c4ea12a3157bd0e283d785c5960781c079c4c9b8",
+    (8, -1.0, False): "3d4da34f01677d5b58869df33c412f4b2ad24c23228381d9d8872119401974a4",
+    (8, 1.0, True): "24c724b6a364b533d4bea1c7036e0f4bc7464f0277794691feacb3ff097f17e7",
+    (8, -1.0, True): "1d10b8a449b7fe1869045715f1f858f1d327cea717a65f2c82c8925bb1b5abab",
+    (16, 1.0, False): "e87b9a88a89d8407e7dad07455213c4c791ae9bc9e3d6e9d36a5b764eaa7677c",
+    (16, -1.0, False): "672b9f87704a3cdcefdba7abf394bcf588c517728e3a997d449faafa78d50499",
+    (16, 1.0, True): "64323224158c1a505ae9f702c0da52657de88b0a287e61bf0fb5b9a35bfcc97a",
+    (16, -1.0, True): "16d4aac38e26d16cbbc94dd569b86cb2add4a89d8640547a8762ae46075608b4",
+}
+
+
+class TestPaddedDriftBytes:
+    @pytest.mark.parametrize("cutoff,sign,shifted", list(PADDED_DRIFT_DIGESTS))
+    def test_golden_bytes(self, cutoff, sign, shifted):
+        drv, state = _padded_case(cutoff, sign, shifted)
+        out = drv.padded_drift(state)
+        assert out.shape == state.shape and out.dtype == np.complex128
+        assert hashlib.sha256(out.tobytes()).hexdigest() == PADDED_DRIFT_DIGESTS[(cutoff, sign, shifted)]
+
+    def test_results_never_overwritten(self):
+        drv, state = _padded_case(4, -1.0, True, count=6)
+        first = drv.padded_drift(state)
+        kept = first.copy()
+        again = drv.padded_drift(state)
+        drv.padded_drift(state[:3])        # another batch shape
+        drv.padded_drift(state[0])         # a single table
+        drv.padded_drift(2.0 * state)      # same shape, other values
+        assert again is not first
+        assert np.array_equal(first, kept)
+        assert np.array_equal(again, kept)
+        assert np.array_equal(drv.padded_drift(state[:3]), kept[:3])
+        assert np.array_equal(drv.padded_drift(state[0]), kept[0])
+
+    def test_input_left_untouched(self):
+        drv, state = _padded_case(8, 1.0, False)
+        before = state.copy()
+        drv.padded_drift(state)
+        assert np.array_equal(state, before)
+
+    def test_threads_share_one_drift(self):
+        # one instance, more threads than cores, mixed batch shapes and
+        # frequent switches: every result must equal the serial bytes
+        drv, state = _padded_case(8, -1.0, True, count=12)
+        inputs = [state[: 4 + i % 5] * (1.0 + 0.25 * i) for i in range(16)]
+        serial = [drv.padded_drift(x) for x in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(drv.padded_drift, inputs * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, out in enumerate(got):
+            assert np.array_equal(out, serial[i % len(inputs)])
 
 
 class TestQuadraticForm:

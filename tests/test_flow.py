@@ -1,5 +1,7 @@
 """Integrators, conservation, reversibility, divergence diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,12 +69,25 @@ class TestStep:
         assert order >= 4.5
 
     def test_midpoint_divergence_raises_with_diagnostics(self):
+        # a growing increment stops the iteration at once: fewer sweeps
+        # than the budget and no overflow warning on the way
         w = white_field(4, np.random.default_rng(3))
         p = FlowParams(cutoff=4, dt=5.0, t_end=5.0, midpoint_max_iter=10)
-        with pytest.raises(StepFailure) as info:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure, match="diverged") as info:
+                step(w, p)
+        assert 1 <= info.value.iterations < 10
+        assert np.isfinite(info.value.residual) and info.value.residual > 0
+        assert info.value.member_mask.tolist() == [True]
+
+    def test_midpoint_budget_exhausted(self):
+        # a contracting iteration that runs out of sweeps reports them all
+        w = white_field(4, np.random.default_rng(3))
+        p = FlowParams(cutoff=4, dt=1e-2, t_end=1e-2, midpoint_max_iter=2)
+        with pytest.raises(StepFailure, match="did not converge in 2 iterations") as info:
             step(w, p)
-        assert info.value.iterations == 10
-        assert info.value.residual > 0
+        assert info.value.iterations == 2
 
 
 class TestEvolve:

@@ -95,6 +95,23 @@ class TestReportSerialization:
         again = rep.write(tmp_path)
         assert (tmp_path / "demo.json").read_text() == text + "\n"
 
+    def test_non_finite_numbers_written_as_null(self, tmp_path):
+        rep = TestReport(name="demo", params={"eps": float("inf")}, seed=7, passed=True,
+                         summary={"ks": float("nan"), "x": np.float64(-np.inf),
+                                  "v": np.array([np.nan, 0.5])},
+                         table=[{"target": np.float64(np.nan), "estimate": 0.25}])
+        text = rep.to_json()
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(text, parse_constant=reject)
+        assert payload["params"] == {"eps": None}
+        assert payload["summary"] == {"ks": None, "x": None, "v": [None, 0.5]}
+        assert payload["table"] == [{"estimate": 0.25, "target": None}]
+        rep.write(tmp_path)
+        assert (tmp_path / "demo.csv").read_text().splitlines()[1] == "nan,0.25"
+
     def test_summary_csv(self, tmp_path):
         reps = [TestReport(name="a", params={}, seed=0, passed=True, summary={}),
                 TestReport(name="b", params={}, seed=0, passed=False, summary={})]
