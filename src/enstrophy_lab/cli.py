@@ -15,15 +15,11 @@ import hashlib
 import json
 import os
 import sys
-import time
-
-import numpy as np
 
 from . import __version__
-from .dynamics import dealias_grid_size, drift, env_workers
-from .fields import SpectralField, sobolev_norm
+from .dynamics import env_workers
 from .flow import FlowParams
-from .measure import MeasureSpec, sample_white_noise
+from .measure import MeasureSpec
 from .verify import (
     TestReport,
     cauchy_study,
@@ -49,124 +45,144 @@ class ConfigError(Exception):
         self.field = field
 
 
-def _need(params: dict, field_path: str, key: str, typ, default=None):
-    if key not in params:
-        if default is not None:
-            return default
-        raise ConfigError(f"{field_path}.{key}", "missing required field")
-    val = params[key]
-    if typ is float and isinstance(val, int):
+def _typed(val, typ, field: str, lo=None, hi=None):
+    """`val` as `typ` (an int is a float; a bool is neither), within [lo, hi]."""
+    if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, typ):
-        raise ConfigError(f"{field_path}.{key}", f"expected {typ.__name__}, got {type(val).__name__}")
+    if isinstance(val, bool) or not isinstance(val, typ):
+        raise ConfigError(field, f"expected {typ.__name__}, got {type(val).__name__}")
+    if (lo is not None and val < lo) or (hi is not None and val > hi):
+        bounds = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+        raise ConfigError(field, f"must be {bounds}, got {val}")
     return val
 
 
-def _check_seed(seed, field: str) -> None:
-    # bool is an int subclass; SeedSequence would take True as seed 1.
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(field, "must be an integer")
-    if seed < 0:
-        raise ConfigError(field, f"must be non-negative, got {seed}")
-
-
-def _field(params: dict, path: str, key: str, default: str) -> SpectralField:
-    name = _need(params, path, key, str, default)
+def _named_field(name: str, field: str):
     try:
         return named_test_field(name)
     except ValueError as exc:
-        raise ConfigError(f"{path}.{key}", str(exc)) from None
+        raise ConfigError(field, str(exc)) from None
 
 
-def _flow_params(params: dict, path: str, cutoff: int, default_T: float, default_dt: float,
-                 default_integrator: str = "implicit_midpoint") -> FlowParams:
-    t_end = _need(params, path, "T", float, default_T)
-    dt = _need(params, path, "dt", float, default_dt)
-    integrator = _need(params, path, "integrator", str, default_integrator)
-    try:
-        return FlowParams(cutoff=cutoff, dt=dt, t_end=t_end, integrator=integrator)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+class _Params:
+    """A battery's params: typed, range-checked reads that remember each key."""
+
+    def __init__(self, params: dict, path: str):
+        self.params, self.path, self.read = params, path, set()
+
+    def get(self, key: str, typ, default, lo=None, hi=None):
+        self.read.add(key)
+        return _typed(self.params.get(key, default), typ, f"{self.path}.{key}", lo, hi)
+
+    def get_list(self, key: str, typ, default: list, lo=None) -> list:
+        vals = self.get(key, list, default)
+        if not vals:
+            raise ConfigError(f"{self.path}.{key}", "must not be empty")
+        for j, v in enumerate(vals):
+            _typed(v, typ, f"{self.path}.{key}[{j}]", lo)
+        return vals
+
+    def field(self, key: str, default: str):
+        return _named_field(self.get(key, str, default), f"{self.path}.{key}")
+
+    def flow(self, cutoff: int, default_T: float, default_dt: float,
+             default_integrator: str = "implicit_midpoint") -> FlowParams:
+        t_end = self.get("T", float, default_T)
+        dt = self.get("dt", float, default_dt)
+        integrator = self.get("integrator", str, default_integrator)
+        try:
+            return FlowParams(cutoff=cutoff, dt=dt, t_end=t_end, integrator=integrator)
+        except ValueError as exc:
+            raise ConfigError(self.path, str(exc)) from None
 
 
-def _kernel(params: dict, path: str, cutoff: int):
-    kind = _need(params, path, "kernel", str, "drift")
+def _kernel(p: _Params, cutoff: int):
+    kind = p.get("kernel", str, "drift")
     if kind == "drift":
-        return quadratic_coefficients(_field(params, path, "phi", "cos_x1_plus_x2"), cutoff)
+        return quadratic_coefficients(p.field("phi", "cos_x1_plus_x2"), cutoff)
     if kind == "rank_one":
-        return rank_one_form(_field(params, path, "phi", "cos_x1"), cutoff)
+        return rank_one_form(p.field("phi", "cos_x1"), cutoff)
     if kind == "exchange":
         return exchange_kernel(cutoff)
-    raise ConfigError(f"{path}.kernel", f"unknown kernel kind {kind!r}")
+    raise ConfigError(f"{p.path}.kernel", f"unknown kernel kind {kind!r}")
 
 
-def _build_wick_mean(params, path, seed):
-    n = _need(params, path, "N", int, 4)
-    count = _need(params, path, "M", int, 10000)
-    return wick_mean_test(_kernel(params, path, n), MeasureSpec(cutoff=n, seed=seed), count)
+# Each builder validates its params and returns the battery as a thunk, so
+# that every entry is checked before any battery runs.  Cutoffs start at 1;
+# Monte Carlo counts at 2, the fewest that give a standard error.
+
+def _build_wick_mean(p: _Params, seed: int):
+    n = p.get("N", int, 4, lo=1)
+    count = p.get("M", int, 10000, lo=1000)
+    kernel = _kernel(p, n)
+    return lambda: wick_mean_test(kernel, MeasureSpec(cutoff=n, seed=seed), count)
 
 
-def _build_wick_variance(params, path, seed):
-    n = _need(params, path, "N", int, 4)
-    count = _need(params, path, "M", int, 10000)
-    return wick_variance_test(_kernel(params, path, n), MeasureSpec(cutoff=n, seed=seed), count)
+def _build_wick_variance(p: _Params, seed: int):
+    n = p.get("N", int, 4, lo=1)
+    count = p.get("M", int, 10000, lo=2)
+    kernel = _kernel(p, n)
+    return lambda: wick_variance_test(kernel, MeasureSpec(cutoff=n, seed=seed), count)
 
 
-def _build_moment_bound(params, path, seed):
-    n = _need(params, path, "N", int, 4)
-    count = _need(params, path, "M", int, 10000)
-    p = _need(params, path, "p", int, 2)
-    return moment_bound_test(exchange_kernel(n), p, MeasureSpec(cutoff=n, seed=seed), count)
+def _build_moment_bound(p: _Params, seed: int):
+    n = p.get("N", int, 4, lo=1)
+    count = p.get("M", int, 10000, lo=2)
+    order = p.get("p", int, 2, lo=2, hi=6)
+    return lambda: moment_bound_test(exchange_kernel(n), order, MeasureSpec(cutoff=n, seed=seed),
+                                     count)
 
 
-def _build_exp_integrability(params, path, seed):
-    count = _need(params, path, "M", int, 5000)
-    n_list = _need(params, path, "N_list", list, [4, 8, 16])
-    eps_list = _need(params, path, "eps_list", list, [0.1, 0.25, 0.4, 0.5])
-    kind = _need(params, path, "kernel", str, "exchange")
-    phi = _field(params, path, "phi", "cos_x1_plus_x2") if kind == "drift" else None
-    return exp_integrability_test(phi, eps_list, MeasureSpec(cutoff=max(n_list), seed=seed),
-                                  count, n_list, kernel_kind=kind)
+def _build_exp_integrability(p: _Params, seed: int):
+    count = p.get("M", int, 5000, lo=2)
+    n_list = p.get_list("N_list", int, [4, 8, 16], lo=1)
+    eps_list = p.get_list("eps_list", float, [0.1, 0.25, 0.4, 0.5])
+    kind = p.get("kernel", str, "exchange")
+    if kind not in ("exchange", "drift"):
+        raise ConfigError(f"{p.path}.kernel", f"unknown kernel kind {kind!r}")
+    phi = p.field("phi", "cos_x1_plus_x2") if kind == "drift" else None
+    return lambda: exp_integrability_test(phi, eps_list, MeasureSpec(cutoff=max(n_list), seed=seed),
+                                          count, n_list, kernel_kind=kind)
 
 
-def _build_cauchy(params, path, seed):
-    n_list = _need(params, path, "N_list", list, [4, 8, 16, 32])
-    n_ref = _need(params, path, "N_ref", int, max(n_list))
-    count = _need(params, path, "M", int, 10000)
-    phi = _field(params, path, "phi", "cos_x1_plus_x2")
-    return cauchy_study(phi, n_list, n_ref, MeasureSpec(cutoff=n_ref, seed=seed), count)
+def _build_cauchy(p: _Params, seed: int):
+    n_list = p.get_list("N_list", int, [4, 8, 16, 32], lo=1)
+    if len(n_list) < 2:
+        raise ConfigError(f"{p.path}.N_list", "needs at least two cutoffs")
+    n_ref = p.get("N_ref", int, max(n_list), lo=max(n_list))
+    count = p.get("M", int, 10000, lo=2)
+    phi = p.field("phi", "cos_x1_plus_x2")
+    return lambda: cauchy_study(phi, n_list, n_ref, MeasureSpec(cutoff=n_ref, seed=seed), count)
 
 
-def _build_invariance(params, path, seed, expect_fail=False):
-    n = _need(params, path, "N", int, 8)
-    count = _need(params, path, "M", int, 2000)
-    flow = _flow_params(params, path, n, default_T=1.0, default_dt=1e-2)
-    names = _need(params, path, "observables", list, ["cos_x1", "sin_x1_plus_x2"])
-    obs = [named_test_field(s) for s in names]
-    shift = None
-    if expect_fail:
-        amp = _need(params, path, "shift_amp", float, 1.0)
-        shift = (obs[0], amp)
-    return invariance_test(MeasureSpec(cutoff=n, seed=seed), flow, obs, count,
-                           drift_shift=shift, expect_fail=expect_fail)
+def _build_invariance(p: _Params, seed: int, expect_fail: bool = False):
+    n = p.get("N", int, 8, lo=1)
+    count = p.get("M", int, 2000, lo=2)
+    flow = p.flow(n, default_T=1.0, default_dt=1e-2)
+    names = p.get_list("observables", str, ["cos_x1", "sin_x1_plus_x2"])
+    obs = [_named_field(s, f"{p.path}.observables[{j}]") for j, s in enumerate(names)]
+    shift = (obs[0], p.get("shift_amp", float, 1.0)) if expect_fail else None
+    return lambda: invariance_test(MeasureSpec(cutoff=n, seed=seed), flow, obs, count,
+                                   drift_shift=shift, expect_fail=expect_fail)
 
 
-def _build_dirichlet(params, path, seed):
-    n_list = _need(params, path, "N_list", list, [2, 4, 8])
-    size = _need(params, path, "G", int, max(64, 4 * max(n_list) + 4))
-    k_max = _need(params, path, "k_max", int, 64)
-    phi = _field(params, path, "phi", "cos_x1_plus_x2")
-    return dirichlet_kernel_study(phi, n_list, size=size, k_max=k_max)
+def _build_dirichlet(p: _Params, seed: int):
+    n_list = p.get_list("N_list", int, [2, 4, 8], lo=1)
+    size = p.get("G", int, max(64, 4 * max(n_list) + 4), lo=4 * max(n_list) + 4)
+    if size % 2:
+        raise ConfigError(f"{p.path}.G", f"must be even, got {size}")
+    k_max = p.get("k_max", int, 64, lo=1)
+    phi = p.field("phi", "cos_x1_plus_x2")
+    return lambda: dirichlet_kernel_study(phi, n_list, size=size, k_max=k_max)
 
 
-def _build_transport(params, path, seed):
-    n = _need(params, path, "N", int, 6)
-    count = _need(params, path, "M", int, 2000)
-    flow = _flow_params(params, path, n, default_T=0.5, default_dt=1e-2,
-                        default_integrator="rk4")
-    tilt = _field(params, path, "tilt_phi", "cos_x1")
-    obs = _field(params, path, "obs_phi", "cos_x1")
-    return transport_battery(MeasureSpec(cutoff=n, seed=seed), flow, tilt, obs, count)
+def _build_transport(p: _Params, seed: int):
+    n = p.get("N", int, 6, lo=1)
+    count = p.get("M", int, 2000, lo=2)
+    flow = p.flow(n, default_T=0.5, default_dt=1e-2, default_integrator="rk4")
+    tilt = p.field("tilt_phi", "cos_x1")
+    obs = p.field("obs_phi", "cos_x1")
+    return lambda: transport_battery(MeasureSpec(cutoff=n, seed=seed), flow, tilt, obs, count)
 
 
 BATTERY_BUILDERS = {
@@ -175,11 +191,22 @@ BATTERY_BUILDERS = {
     "moment_bound": _build_moment_bound,
     "exp_integrability": _build_exp_integrability,
     "cauchy": _build_cauchy,
-    "invariance": lambda p, path, s: _build_invariance(p, path, s, expect_fail=False),
-    "invariance_negative": lambda p, path, s: _build_invariance(p, path, s, expect_fail=True),
+    "invariance": lambda p, s: _build_invariance(p, s, expect_fail=False),
+    "invariance_negative": lambda p, s: _build_invariance(p, s, expect_fail=True),
     "dirichlet_kernel": _build_dirichlet,
     "transport": _build_transport,
 }
+
+
+def _prepare(i: int, entry: dict, seed: int):
+    """Validate one config entry; return its battery as a thunk."""
+    p = _Params(entry.get("params", {}), f"tests[{i}].params")
+    job = BATTERY_BUILDERS[entry["name"]](p, seed)
+    unread = sorted(set(p.params) - p.read)
+    if unread:
+        raise ConfigError(f"{p.path}.{unread[0]}",
+                          f"unknown key; this entry reads {sorted(p.read)}")
+    return job
 
 
 def load_config(path: str) -> dict:
@@ -195,7 +222,7 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
     cfg["_sha256"] = hashlib.sha256(raw).hexdigest()
-    _check_seed(cfg.get("seed", 0), "seed")
+    _typed(cfg.get("seed", 0), int, "seed", lo=0)  # a bool seed would run as 0 or 1
     tests = cfg.get("tests", [])
     if not isinstance(tests, list):
         raise ConfigError("tests", "must be a list")
@@ -220,41 +247,34 @@ def _sha256_file(path: str) -> str:
 
 
 def run(config_path: str, out_dir: str | None = None, seed_override: int | None = None) -> int:
-    """Execute the selected batteries and write reports, summary, manifest."""
+    """Validate every entry, then execute the batteries and write reports, summary, manifest."""
     try:
         cfg = load_config(config_path)
         if seed_override is not None:
-            _check_seed(seed_override, "--seed-override")
+            _typed(seed_override, int, "--seed-override", lo=0)
         workers = env_workers() or 1
+        seed = seed_override if seed_override is not None else cfg.get("seed", 0)
+        tests = cfg.get("tests", [])
+        jobs = [_prepare(i, entry, seed) for i, entry in enumerate(tests)]
     except (ConfigError, ValueError) as exc:  # ValueError: ENSTROPHY_LAB_WORKERS
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     out = out_dir or cfg.get("out_dir", "reports")
     os.makedirs(out, exist_ok=True)
-    tests = cfg.get("tests", [])
 
-    def execute(i_entry):
-        i, entry = i_entry
-        name = entry["name"]
-        params = entry.get("params", {})
+    def execute(i):
         try:
-            return BATTERY_BUILDERS[name](params, f"tests[{i}].params", seed)
-        except ConfigError:
-            raise
+            return jobs[i]()
         except Exception as exc:  # battery blew up: failed report, artifacts preserved
-            return TestReport(name=name, params=params, seed=seed, passed=False,
+            params = tests[i].get("params", {})
+            return TestReport(name=tests[i]["name"], params=params, seed=seed, passed=False,
                               summary={}, notes=[f"battery raised: {exc!r}"])
 
-    try:
-        if workers > 1 and len(tests) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(execute, enumerate(tests)))
-        else:
-            reports = [execute(item) for item in enumerate(tests)]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    if workers > 1 and len(jobs) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(execute, range(len(jobs))))
+    else:
+        reports = [execute(i) for i in range(len(jobs))]
     # report names come from the batteries; check them before writing any
     writers: dict[str, int] = {}
     for i, rep in enumerate(reports):
@@ -283,46 +303,6 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
     return 0 if all(r.passed for r in reports) else 1
 
 
-def bench(max_n: int = 16, out_dir: str | None = None) -> int:
-    """Throughput of the two drift strategies; equivalence asserted first."""
-    rows = []
-    n = 2
-    while n <= max_n:
-        spec = MeasureSpec(cutoff=n, seed=2024)
-        field = sample_white_noise(spec, 0)
-        direct = drift(field, n, "direct")
-        fast = drift(field, n, "dealiased")
-        dev = float(np.sqrt(np.sum(np.abs(direct.coeffs - fast.coeffs) ** 2)))
-        scale = max(1e-30, float(np.sqrt(np.sum(np.abs(direct.coeffs) ** 2))))
-        if dev / scale > 1e-12:
-            print(f"strategy disagreement at N={n}: rel {dev / scale:.3e}", file=sys.stderr)
-            return 1
-
-        def rate(strategy: str) -> float:
-            reps, t0 = 0, time.perf_counter()
-            while time.perf_counter() - t0 < 0.3:
-                drift(field, n, strategy)
-                reps += 1
-            return reps / (time.perf_counter() - t0)
-
-        rows.append({"N": n, "grid": dealias_grid_size(n), "rel_dev": dev / scale,
-                     "direct_evals_per_s": rate("direct"),
-                     "dealiased_evals_per_s": rate("dealiased")})
-        n *= 2
-    print(f"{'N':>4} {'grid':>5} {'direct/s':>12} {'dealiased/s':>12} {'rel_dev':>10}")
-    for r in rows:
-        print(f"{r['N']:>4} {r['grid']:>5} {r['direct_evals_per_s']:>12.1f} "
-              f"{r['dealiased_evals_per_s']:>12.1f} {r['rel_dev']:>10.2e}")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        lines = ["N,grid,direct_evals_per_s,dealiased_evals_per_s,rel_dev"]
-        for r in rows:
-            lines.append("%d,%d,%.6g,%.6g,%.3e" % (r["N"], r["grid"], r["direct_evals_per_s"],
-                                                   r["dealiased_evals_per_s"], r["rel_dev"]))
-        _atomic_write(os.path.join(out_dir, "throughput.csv"), "\n".join(lines) + "\n")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="enstrophy-lab",
                                      description="verification batteries for truncated "
@@ -332,13 +312,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to a JSON config (see quickcheck.cfg)")
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--seed-override", type=int, default=None)
-    p_bench = sub.add_parser("bench", help="drift strategy throughput table")
-    p_bench.add_argument("--max-n", type=int, default=16)
-    p_bench.add_argument("--out-dir", default=None)
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run(args.config, out_dir=args.out_dir, seed_override=args.seed_override)
-    return bench(max_n=args.max_n, out_dir=args.out_dir)
+    return run(args.config, out_dir=args.out_dir, seed_override=args.seed_override)
 
 
 if __name__ == "__main__":

@@ -20,8 +20,7 @@ the trace cancellation exercised by `trace_integral`.
 
 Two drift strategies are provided: an exact lattice convolution (`direct`,
 the oracle) and a dealiased pseudo-spectral product (`dealiased`, the fast
-path); they agree to rounding and the equivalence is asserted by tests and
-by the benchmark driver before timing.
+path); they agree to rounding, which the tests assert.
 
 Array-level cores accept stacked coefficient tables (..., 2N+1, 2N+1) so
 ensembles evolve vectorized; all operations are pure.
@@ -29,7 +28,6 @@ ensembles evolve vectorized; all operations are pure.
 
 from __future__ import annotations
 
-import csv
 import os
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -44,11 +42,16 @@ from .fields import (
     HARD_TOL,
     InvariantViolation,
     SpectralField,
+    _nonuniform_sum,
+    embed_layout,
     evaluate_at,
+    extract_layout,
     gradient_at,
     mode_grids,
     mode_range,
     project,
+    project_coeffs,
+    real_part,
 )
 
 _TWO_PI_I = 2j * np.pi
@@ -144,30 +147,6 @@ def dealias_grid_size(cutoff: int) -> int:
     return g
 
 
-def _embed(coeffs: np.ndarray, cutoff: int, size: int) -> np.ndarray:
-    idx = mode_range(cutoff) % size
-    layout = np.zeros(coeffs.shape[:-2] + (size, size), dtype=complex)
-    layout[..., idx[:, None], idx[None, :]] = coeffs
-    return layout
-
-
-def _extract(layout: np.ndarray, cutoff: int) -> np.ndarray:
-    size = layout.shape[-1]
-    idx = mode_range(cutoff) % size
-    return layout[..., idx[:, None], idx[None, :]]
-
-
-def _project_coeffs(coeffs: np.ndarray, src: int, dst: int) -> np.ndarray:
-    if src == dst:
-        return coeffs
-    m = min(src, dst)
-    out = np.zeros(coeffs.shape[:-2] + (2 * dst + 1, 2 * dst + 1), dtype=complex)
-    out[..., dst - m : dst + m + 1, dst - m : dst + m + 1] = coeffs[
-        ..., src - m : src + m + 1, src - m : src + m + 1
-    ]
-    return out
-
-
 def _drift_multipliers(cutoff: int):
     n1, n2 = mode_grids(cutoff)
     inv = _inverse_norm_sq(cutoff)
@@ -192,13 +171,13 @@ def _drift_dealiased(coeffs: np.ndarray, cutoff: int, workers: int | None = None
     size = dealias_grid_size(cutoff)
     # pack the two same-scale components of each vector field into one
     # complex transform: Re/Im of the synthesized grid separate them
-    gu = scipy.fft.ifft2(_embed(coeffs * (mu1 + 1j * mu2), cutoff, size),
+    gu = scipy.fft.ifft2(embed_layout(coeffs * (mu1 + 1j * mu2), size),
                          axes=(-2, -1), workers=workers)
-    gd = scipy.fft.ifft2(_embed(coeffs * (md1 + 1j * md2), cutoff, size),
+    gd = scipy.fft.ifft2(embed_layout(coeffs * (md1 + 1j * md2), size),
                          axes=(-2, -1), workers=workers)
     prod = gu.real * gd.real + gu.imag * gd.imag
     back = scipy.fft.fft2(prod, axes=(-2, -1), workers=workers)
-    return -_extract(back, cutoff) * (size * size)
+    return -extract_layout(back, cutoff) * (size * size)
 
 
 def _drift_direct(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
@@ -232,26 +211,26 @@ class SpectralDrift:
         self.workers = workers
         self.size = dealias_grid_size(cutoff)
         mu1, mu2, md1, md2 = _drift_multipliers(cutoff)
-        self._pu = _embed(mu1 + 1j * mu2, cutoff, self.size)
-        self._pd = _embed(md1 + 1j * md2, cutoff, self.size)
+        self._pu = embed_layout(mu1 + 1j * mu2, self.size)
+        self._pd = embed_layout(md1 + 1j * md2, self.size)
         d = 2 * cutoff + 1
-        mask = _embed(np.ones((d, d)), cutoff, self.size).real
+        mask = embed_layout(np.ones((d, d)), self.size).real
         self._out_scale = -(self.size * self.size) * mask
         self._scratch = threading.local()
         if shift is not None:
             shift = np.asarray(shift, dtype=complex)
             if shift.shape != (d, d):
                 raise ValueError("drift shift table has wrong shape")
-            self._shift_pad = _embed(shift, cutoff, self.size)
+            self._shift_pad = embed_layout(shift, self.size)
         else:
             self._shift_pad = None
         self.shift = shift
 
     def pad(self, coeffs: np.ndarray) -> np.ndarray:
-        return _embed(coeffs, self.cutoff, self.size)
+        return embed_layout(coeffs, self.size)
 
     def unpad(self, padded: np.ndarray) -> np.ndarray:
-        return _extract(padded, self.cutoff)
+        return extract_layout(padded, self.cutoff)
 
     def _buffers(self, shape: tuple) -> tuple:
         local = self._scratch
@@ -289,7 +268,7 @@ def drift(field: SpectralField, cutoff: Optional[int] = None, strategy: str = "d
     pseudo-spectral product.  Both land in the cutoff lattice.
     """
     n = field.cutoff if cutoff is None else cutoff
-    coeffs = _project_coeffs(field.coeffs, field.cutoff, n)
+    coeffs = project_coeffs(field.coeffs, field.cutoff, n)
     if strategy == "direct":
         out = _drift_direct(coeffs, n)
     elif strategy == "dealiased":
@@ -299,126 +278,116 @@ def drift(field: SpectralField, cutoff: Optional[int] = None, strategy: str = "d
     return SpectralField(n, out)
 
 
-@dataclass(frozen=True)
 class QuadraticForm:
-    """Symmetric coefficient table A(n, m) on the cutoff lattice squared.
+    """A symmetric kernel A(n, m) on the cutoff lattice squared.
 
-    Stored as a (d^2, d^2) matrix over flattened mode indices
-    ``i = (n1+N)*(2N+1) + (n2+N)``.  Drift forms (built by
-    `quadratic_coefficients`) carry their test field and satisfy the
-    structural zeros; free-form symmetric kernels (test inputs) do not.
+    The protocol: `pair(batch)` evaluates sum_(n,m) A(n, m) w_hat(n) w_hat(m)
+    on stacked tables (..., 2N+1, 2N+1) at the form's cutoff, `trace()` is
+    sum_n A(n, -n) (the Gaussian mean of the pairing), `frobenius_sq()` is
+    sum |A(n, m)|^2 (half its Gaussian variance), and `matrix()` builds the
+    dense (d^2, d^2) table over flattened indices
+    ``i = (n1+N)*(2N+1) + (n2+N)``, on demand only.  The defaults here work
+    from `matrix()`; `DenseForm`, the reference that tests compare against,
+    uses them, and the sparse forms (drift, exchange, rank one) override
+    them so that no battery builds the table.
     """
 
     cutoff: int
-    matrix: np.ndarray
-    phi: Optional[SpectralField] = None
 
-    def __post_init__(self):
-        d2 = (2 * self.cutoff + 1) ** 2
-        if self.matrix.shape != (d2, d2):
-            raise ValueError("quadratic form matrix has wrong shape")
-        self.matrix.setflags(write=False)
+    def matrix(self) -> np.ndarray:
+        raise NotImplementedError
 
-    def entry(self, n: tuple[int, int], m: tuple[int, int]) -> complex:
-        d = 2 * self.cutoff + 1
-        i = (n[0] + self.cutoff) * d + (n[1] + self.cutoff)
-        j = (m[0] + self.cutoff) * d + (m[1] + self.cutoff)
-        return complex(self.matrix[i, j])
+    def pair(self, batch: np.ndarray) -> np.ndarray:
+        flat = batch.reshape(batch.shape[:-2] + (-1,))
+        return np.einsum("...i,...i->...", flat @ self.matrix(), flat)
 
-    def trace_diagonal(self) -> float:
-        """Sum of A(n, -n): the exact mean of the Gaussian pairing."""
-        val = complex(np.trace(self.matrix[:, ::-1]))
-        return val.real
+    def trace(self) -> float:
+        return complex(np.trace(self.matrix()[:, ::-1])).real
 
     def frobenius_sq(self) -> float:
-        """Sum of |A(n, m)|^2 (the L2 norm squared of the kernel)."""
-        return float(np.sum(np.abs(self.matrix) ** 2))
+        return float(np.sum(np.abs(self.matrix()) ** 2))
 
-    def validate(self, drift_structure: bool = False) -> None:
-        m = self.matrix
-        if np.abs(m - m.T).max() > HARD_TOL:
+
+class DenseForm(QuadraticForm):
+    """An explicit symmetric, conjugation-symmetric (d^2, d^2) table."""
+
+    def __init__(self, cutoff: int, table: np.ndarray):
+        d2 = (2 * cutoff + 1) ** 2
+        if table.shape != (d2, d2):
+            raise ValueError("quadratic form matrix has wrong shape")
+        if np.abs(table - table.T).max() > HARD_TOL:
             raise InvariantViolation("quadratic form not symmetric")
-        if np.abs(m - np.conj(m[::-1, ::-1])).max() > HARD_TOL:
+        if np.abs(table - np.conj(table[::-1, ::-1])).max() > HARD_TOL:
             raise InvariantViolation("quadratic form conjugation property broken")
-        if drift_structure:
-            n1, n2 = mode_grids(self.cutoff)
-            nn = (n1 ** 2 + n2 ** 2).ravel()
-            same = np.equal.outer(nn, nn)
-            if np.abs(m[same]).max() > 0:
-                raise InvariantViolation("drift form must vanish where |n| = |m|")
-            zero = nn == 0
-            if np.abs(m[zero, :]).max() > 0 or np.abs(m[:, zero]).max() > 0:
-                raise InvariantViolation("drift form must vanish on zero-mode rows")
+        self.cutoff = cutoff
+        self._table = np.array(table)
+        self._table.setflags(write=False)
 
-    def save_csv(self, path) -> None:
-        """Write `n1,n2,m1,m2,re,im` rows for nonzero entries, lexicographic."""
-        d = 2 * self.cutoff + 1
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n1", "n2", "m1", "m2", "re", "im"])
-            for i in range(d * d):
-                for j in range(d * d):
-                    v = self.matrix[i, j]
-                    if v != 0:
-                        writer.writerow(
-                            [
-                                i // d - self.cutoff,
-                                i % d - self.cutoff,
-                                j // d - self.cutoff,
-                                j % d - self.cutoff,
-                                "%.17g" % v.real,
-                                "%.17g" % v.imag,
-                            ]
-                        )
+    def matrix(self) -> np.ndarray:
+        return self._table
 
 
-def quadratic_coefficients(phi: SpectralField, cutoff: int) -> QuadraticForm:
+class DriftForm(QuadraticForm):
+    """The drift pairing w -> <b_N(w), phi>, evaluated over the support of phi."""
+
+    def __init__(self, phi: SpectralField, cutoff: int):
+        self.cutoff = cutoff
+        self.phi = project(phi, max(cutoff, phi.cutoff))
+
+    def pair(self, batch: np.ndarray) -> np.ndarray:
+        return drift_pairing_batch(batch, self.cutoff, self.phi)
+
+    def trace(self) -> float:
+        # the diagonal entries A(n, -n) are those of the support mode s = 0
+        total = 0j
+        for s, amp, c, _ in _support_terms(self.phi, self.cutoff):
+            if s == (0, 0):
+                total += amp * np.sum(c)
+        return total.real
+
+    def frobenius_sq(self) -> float:
+        return drift_form_frobenius_sq(self.phi, self.cutoff)
+
+    def matrix(self) -> np.ndarray:
+        cutoff = self.cutoff
+        n1, n2 = mode_grids(cutoff)
+        f1, f2 = n1.ravel().astype(float), n2.ravel().astype(float)
+        inv = _inverse_norm_sq(cutoff).ravel()
+        # perp(m).n = m2 n1 - m1 n2, rows indexed by n, columns by m
+        cross = np.outer(f1, f2) - np.outer(f2, f1)
+        factor = 0.5 * cross * (inv[:, None] - inv[None, :])
+        # phi_hat(-n-m) gathered from the lattice at twice the cutoff
+        phi2 = project(self.phi, 2 * cutoff).coeffs
+        i1 = (-(n1.ravel()[:, None] + n1.ravel()[None, :])) + 2 * cutoff
+        i2 = (-(n2.ravel()[:, None] + n2.ravel()[None, :])) + 2 * cutoff
+        nonzero = (inv > 0).astype(float)
+        return factor * phi2[i1, i2] * np.outer(nonzero, nonzero)
+
+
+def quadratic_coefficients(phi: SpectralField, cutoff: int) -> DriftForm:
     """Coefficients A(n, m) of the drift pairing against phi at the cutoff.
 
     Contract: for any w, sum_(n,m) w_hat(n) w_hat(m) A(n, m) equals
     <drift(w, N), phi> whenever phi is supported inside the cutoff lattice.
     """
-    n1, n2 = mode_grids(cutoff)
-    f1, f2 = n1.ravel().astype(float), n2.ravel().astype(float)
-    inv = _inverse_norm_sq(cutoff).ravel()
-    # perp(m).n = m2 n1 - m1 n2, rows indexed by n, columns by m
-    cross = np.outer(f1, f2) - np.outer(f2, f1)
-    factor = 0.5 * cross * (inv[:, None] - inv[None, :])
-    # phi_hat(-n-m) gathered from the lattice at twice the cutoff
-    phi2 = project(phi, 2 * cutoff).coeffs
-    i1 = (-(n1.ravel()[:, None] + n1.ravel()[None, :])) + 2 * cutoff
-    i2 = (-(n2.ravel()[:, None] + n2.ravel()[None, :])) + 2 * cutoff
-    gathered = phi2[i1, i2]
-    nonzero = (inv > 0).astype(float)
-    matrix = factor * gathered * np.outer(nonzero, nonzero)
-    form = QuadraticForm(cutoff, matrix, phi=project(phi, max(cutoff, phi.cutoff)))
-    form.validate(drift_structure=True)
-    return form
+    return DriftForm(phi, cutoff)
 
 
 def quadratic_pairing(field: SpectralField, form: QuadraticForm) -> float:
-    """Evaluate the quadratic form on a field (projected to the form's cutoff).
-
-    The value of a real field under a conjugation-symmetric kernel is real;
-    an imaginary residual above HARD_TOL raises.
-    """
+    """Evaluate the quadratic form on a field (projected to the form's cutoff)."""
     vals = quadratic_pairing_batch(field.coeffs[None, ...], field.cutoff, form)
     return float(vals[0])
 
 
 def quadratic_pairing_batch(coeffs: np.ndarray, cutoff: int, form: QuadraticForm) -> np.ndarray:
-    """Batched pairing on stacked tables (..., 2N+1, 2N+1) -> (...)."""
+    """Batched pairing on stacked tables (..., 2N+1, 2N+1) -> (...).
+
+    The one pairing entry of the batteries.  The value of a real field under
+    a conjugation-symmetric kernel is real; an imaginary residual raises.
+    """
     if cutoff > form.cutoff:
         raise ValueError("form cutoff smaller than field cutoff")
-    emb = _project_coeffs(coeffs, cutoff, form.cutoff)
-    flat = emb.reshape(emb.shape[:-2] + (-1,))
-    half = flat @ form.matrix
-    vals = np.einsum("...i,...i->...", half, flat)
-    resid = np.abs(vals.imag).max() if vals.size else 0.0
-    scale = max(1.0, float(np.abs(vals.real).max()) if vals.size else 1.0)
-    if resid > HARD_TOL * scale:
-        raise InvariantViolation(f"quadratic pairing imaginary residual {resid:.3e}")
-    return vals.real
+    return real_part(form.pair(project_coeffs(coeffs, cutoff, form.cutoff)), "quadratic pairing")
 
 
 def _minimal_image(z: np.ndarray) -> np.ndarray:
@@ -442,15 +411,11 @@ class KernelEval:
 
     def __post_init__(self):
         n1, n2 = mode_grids(self.k_max)
-        nn = (n1 ** 2 + n2 ** 2).astype(float)
-        inv = np.zeros_like(nn)
-        np.divide(1.0, nn, out=inv, where=nn > 0)
+        inv = _inverse_norm_sq(self.k_max)
         object.__setattr__(self, "_k1", (n2 * inv) / _TWO_PI_I)
         object.__setattr__(self, "_k2", (-n1 * inv) / _TWO_PI_I)
 
     def _kernel_sum(self, z: np.ndarray, k_cut: int) -> np.ndarray:
-        from .fields import _nonuniform_sum
-
         pts = np.asarray(z, dtype=float).reshape(-1, 2)
         n = mode_range(self.k_max)
         e1 = np.exp(_TWO_PI_I * np.outer(pts[:, 0], n))
@@ -491,8 +456,6 @@ class KernelEval:
 
     def hessian_at(self, points: np.ndarray) -> np.ndarray:
         """Second derivative matrix of phi at the points, shape (..., 2, 2)."""
-        from .fields import _nonuniform_sum
-
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, 2)
         n = mode_range(self.phi.cutoff)
@@ -689,25 +652,20 @@ def _support_terms(phi: SpectralField, cutoff: int):
         c = np.where(valid, c, 0.0)
         i1 = np.clip(m1 + cutoff, 0, 2 * cutoff)
         i2 = np.clip(m2 + cutoff, 0, 2 * cutoff)
-        yield amp, c, (i1, i2)
+        yield (s1, s2), amp, c, (i1, i2)
 
 
 def drift_pairing_batch(coeffs: np.ndarray, cutoff: int, phi: SpectralField) -> np.ndarray:
     """Structured evaluation of the drift quadratic form, (..., d, d) -> (...).
 
-    Equivalent to `quadratic_pairing_batch` with `quadratic_coefficients`,
-    but with cost proportional to the support of the test field; used for
-    large cutoffs where the dense matrix is wasteful.
+    The pairing of `DriftForm`, at a cost proportional to the support of
+    the test field.
     """
     total = np.zeros(coeffs.shape[:-2], dtype=complex)
-    for amp, c, (i1, i2) in _support_terms(phi, cutoff):
+    for _, amp, c, (i1, i2) in _support_terms(phi, cutoff):
         gathered = coeffs[..., i1, i2]
         total = total + amp * np.einsum("ij,...ij,...ij->...", c, coeffs, gathered)
-    resid = float(np.abs(total.imag).max()) if total.size else 0.0
-    scale = max(1.0, float(np.abs(total.real).max()) if total.size else 1.0)
-    if resid > HARD_TOL * scale:
-        raise InvariantViolation(f"drift pairing imaginary residual {resid:.3e}")
-    return total.real
+    return real_part(total, "drift pairing")
 
 
 def drift_form_frobenius_sq(phi: SpectralField, cutoff: int) -> float:
@@ -717,6 +675,6 @@ def drift_form_frobenius_sq(phi: SpectralField, cutoff: int) -> float:
     field, so the sum splits over the support.
     """
     total = 0.0
-    for amp, c, _ in _support_terms(phi, cutoff):
+    for _, amp, c, _ in _support_terms(phi, cutoff):
         total += float(np.abs(amp) ** 2 * np.sum(c ** 2))
     return total

@@ -14,9 +14,8 @@ Tolerance ladder used throughout the package:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.fft
@@ -132,12 +131,6 @@ class SpectralField:
             return 0.0 + 0.0j
         return complex(self.coeffs[n1 + self.cutoff, n2 + self.cutoff])
 
-    def modes(self) -> Iterator[tuple[int, int, complex]]:
-        """Yield (n1, n2, amplitude) in lexicographic (n1, n2) order."""
-        for i, n1 in enumerate(mode_range(self.cutoff)):
-            for j, n2 in enumerate(mode_range(self.cutoff)):
-                yield int(n1), int(n2), complex(self.coeffs[i, j])
-
     def __repr__(self) -> str:
         return f"SpectralField(cutoff={self.cutoff})"
 
@@ -170,22 +163,28 @@ def validate_field(field: SpectralField) -> None:
         raise InvariantViolation("zero mode has an imaginary part")
 
 
-def project(field: SpectralField, cutoff: int) -> SpectralField:
-    """Orthogonal projection onto the lattice |n|_inf <= cutoff.
+def project_coeffs(coeffs: np.ndarray, src: int, dst: int) -> np.ndarray:
+    """Array-level projection of (..., 2src+1, 2src+1) tables onto cutoff dst.
 
     Coefficients inside the target lattice are copied verbatim, the rest
-    dropped; enlarging the cutoff pads with zeros.  Idempotent.
+    dropped; enlarging the cutoff pads with zeros.  Equal cutoffs return the
+    input itself.
     """
+    if src == dst:
+        return coeffs
+    m = min(src, dst)
+    out = np.zeros(coeffs.shape[:-2] + (2 * dst + 1, 2 * dst + 1), dtype=complex)
+    out[..., dst - m : dst + m + 1, dst - m : dst + m + 1] = coeffs[
+        ..., src - m : src + m + 1, src - m : src + m + 1
+    ]
+    return out
+
+
+def project(field: SpectralField, cutoff: int) -> SpectralField:
+    """Orthogonal projection onto the lattice |n|_inf <= cutoff.  Idempotent."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    src, dst = field.cutoff, cutoff
-    d = 2 * dst + 1
-    out = np.zeros((d, d), dtype=complex)
-    m = min(src, dst)
-    out[dst - m : dst + m + 1, dst - m : dst + m + 1] = field.coeffs[
-        src - m : src + m + 1, src - m : src + m + 1
-    ]
-    return SpectralField(dst, out)
+    return SpectralField(cutoff, project_coeffs(field.coeffs, field.cutoff, cutoff))
 
 
 def sobolev_norm(field: SpectralField, s: float = 0.0) -> float:
@@ -201,44 +200,61 @@ def dirichlet_kernel(cutoff: int) -> SpectralField:
     return SpectralField(cutoff, np.ones((d, d), dtype=complex))
 
 
+def real_part(vals, what: str) -> np.ndarray:
+    """Real part of values that are real in exact arithmetic.
+
+    An imaginary residual above HARD_TOL times the largest real magnitude
+    (at least 1) means a broken reality invariant and raises, naming `what`.
+    """
+    vals = np.asarray(vals)
+    if vals.size:
+        resid = float(np.abs(vals.imag).max())
+        if resid > HARD_TOL * max(1.0, float(np.abs(vals.real).max())):
+            raise InvariantViolation(f"{what}: imaginary residual {resid:.3e}")
+    return vals.real
+
+
 def dual_pairing(a: SpectralField, b: SpectralField) -> float:
     """L2 pairing of two real fields: sum of a_hat(n) conj(b_hat(n)).
 
-    Cutoffs may differ; the sum runs over the common lattice.  The result of
-    a real pairing is real; an imaginary residual above HARD_TOL means a
-    broken reality invariant and raises.
+    Cutoffs may differ; the sum runs over the common lattice.
     """
     m = min(a.cutoff, b.cutoff)
     ca = a.coeffs[a.cutoff - m : a.cutoff + m + 1, a.cutoff - m : a.cutoff + m + 1]
     cb = b.coeffs[b.cutoff - m : b.cutoff + m + 1, b.cutoff - m : b.cutoff + m + 1]
-    val = complex(np.sum(ca * np.conj(cb)))
-    if abs(val.imag) > HARD_TOL:
-        raise InvariantViolation(f"pairing has imaginary residual {val.imag:.3e}")
-    return val.real
+    return float(real_part(np.sum(ca * np.conj(cb)), "pairing"))
+
+
+def embed_layout(coeffs: np.ndarray, size: int) -> np.ndarray:
+    """(..., 2N+1, 2N+1) tables in the (..., size, size) FFT layout.
+
+    Modes fold mod `size`; on undersampled grids distinct modes that share
+    a cell add up, so synthesis aliases exactly as continuous evaluation.
+    """
+    d = coeffs.shape[-1]
+    idx = mode_range(d // 2) % size
+    layout = np.zeros(coeffs.shape[:-2] + (size, size), dtype=complex)
+    if size >= d:
+        layout[..., idx[:, None], idx[None, :]] = coeffs
+    else:
+        np.add.at(layout, (..., idx[:, None], idx[None, :]), coeffs)
+    return layout
+
+
+def extract_layout(layout: np.ndarray, cutoff: int) -> np.ndarray:
+    """The cutoff lattice of an FFT layout, inverse of `embed_layout`."""
+    idx = mode_range(cutoff) % layout.shape[-1]
+    return layout[..., idx[:, None], idx[None, :]]
 
 
 def coeffs_to_grid(coeffs: np.ndarray, size: int, workers: int | None = None) -> np.ndarray:
     """Array-level synthesis of (..., 2N+1, 2N+1) coefficients on a size^2 grid.
 
-    Modes fold mod `size`, so undersampled grids alias exactly as the
-    continuous evaluation does.  Returns real values (imag part discarded
-    after a hard check).
+    Returns real values (imag part discarded after a hard check).
     """
-    d = coeffs.shape[-1]
-    cutoff = d // 2
-    idx = mode_range(cutoff) % size
-    layout = np.zeros(coeffs.shape[:-2] + (size, size), dtype=complex)
-    if size >= d:
-        layout[..., idx[:, None], idx[None, :]] = coeffs
-    else:
-        # undersampled grid: distinct modes fold onto shared cells
-        np.add.at(layout, (..., idx[:, None], idx[None, :]), coeffs)
+    layout = embed_layout(coeffs, size)
     vals = scipy.fft.ifft2(layout, axes=(-2, -1), workers=workers) * (size * size)
-    resid = np.abs(vals.imag).max() if vals.size else 0.0
-    scale = max(1.0, np.abs(vals.real).max()) if vals.size else 1.0
-    if resid > HARD_TOL * scale:
-        raise InvariantViolation(f"grid synthesis produced imaginary residual {resid:.3e}")
-    return vals.real
+    return real_part(vals, "grid synthesis")
 
 
 def grid_to_coeffs(values: np.ndarray, cutoff: int, workers: int | None = None) -> np.ndarray:
@@ -250,8 +266,7 @@ def grid_to_coeffs(values: np.ndarray, cutoff: int, workers: int | None = None) 
         )
     spec = scipy.fft.fft2(np.asarray(values, dtype=float), axes=(-2, -1), workers=workers)
     spec /= size * size
-    idx = mode_range(cutoff) % size
-    return spec[..., idx[:, None], idx[None, :]]
+    return extract_layout(spec, cutoff)
 
 
 def to_grid(field: SpectralField, size: int) -> GridField:
@@ -293,35 +308,3 @@ def gradient_at(field: SpectralField, points: np.ndarray) -> np.ndarray:
     g1 = _nonuniform_sum(_TWO_PI_I * n1 * field.coeffs, e1, e2)
     g2 = _nonuniform_sum(_TWO_PI_I * n2 * field.coeffs, e1, e2)
     return np.stack([g1.real, g2.real], axis=-1).reshape(pts.shape)
-
-
-def save_field_csv(field: SpectralField, path) -> None:
-    """Write `n1,n2,re,im` rows for every lattice mode in lexicographic order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n1", "n2", "re", "im"])
-        for n1, n2, c in field.modes():
-            writer.writerow([n1, n2, "%.17g" % c.real, "%.17g" % c.imag])
-
-
-def load_field_csv(path) -> SpectralField:
-    """Read a field snapshot; validates lattice completeness and reality."""
-    rows: dict[tuple[int, int], complex] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["n1", "n2", "re", "im"]:
-            raise ValueError(f"unexpected field snapshot header: {header}")
-        for rec in reader:
-            n1, n2 = int(rec[0]), int(rec[1])
-            rows[(n1, n2)] = complex(float(rec[2]), float(rec[3]))
-    if not rows:
-        raise ValueError("empty field snapshot")
-    cutoff = max(max(abs(n1), abs(n2)) for n1, n2 in rows)
-    d = 2 * cutoff + 1
-    if len(rows) != d * d:
-        raise ValueError(f"snapshot has {len(rows)} modes, expected {d * d}")
-    arr = np.zeros((d, d), dtype=complex)
-    for (n1, n2), v in rows.items():
-        arr[n1 + cutoff, n2 + cutoff] = v
-    return SpectralField(cutoff, arr)

@@ -13,9 +13,8 @@ interact, which keeps results deterministic under any scheduling.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -219,21 +218,6 @@ class Trajectory:
     @property
     def final(self) -> SpectralField:
         return self.states[-1]
-
-    def save_diagnostics_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "t", "enstrophy", "energy", "ortho_residual"])
-            for k in range(len(self.diag_steps)):
-                writer.writerow(
-                    [
-                        int(self.diag_steps[k]),
-                        "%.17g" % self.diag_t[k],
-                        "%.17g" % self.diag_enstrophy[k],
-                        "%.17g" % self.diag_energy[k],
-                        "%.17g" % self.diag_ortho[k],
-                    ]
-                )
 
 
 def _evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[DriftFn],

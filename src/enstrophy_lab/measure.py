@@ -20,26 +20,15 @@ in the distribution tests of the verification batteries.
 
 from __future__ import annotations
 
-import csv
 import functools
 import operator
-import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import SpectralDrift, _drift_dealiased
-from .fields import (
-    HARD_TOL,
-    InvariantViolation,
-    SpectralField,
-    half_lattice_mask,
-    load_field_csv,
-    project,
-    save_field_csv,
-    sobolev_norm,
-)
+from .dynamics import SpectralDrift
+from .fields import SpectralField, half_lattice_mask, project, real_part, sobolev_norm
 from .flow import FlowParams, StepFailure, _advance, _run_padded, _step_batch
 
 
@@ -179,6 +168,13 @@ def sample_white_noise(spec: MeasureSpec, index: int) -> SpectralField:
     return SpectralField(spec.cutoff, sample_coeffs(spec, index))
 
 
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error std(ddof=1)/sqrt(m); 0 for one value."""
+    m = len(values)
+    se = float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    return float(np.mean(values)), se
+
+
 def pairings_batch(coeffs: np.ndarray, cutoff: int, phis: Sequence[SpectralField]) -> np.ndarray:
     """<w_i, phi_j> for stacked tables: (B, ...) -> (B, k)."""
     if not phis:
@@ -188,11 +184,7 @@ def pairings_batch(coeffs: np.ndarray, cutoff: int, phis: Sequence[SpectralField
         m = min(cutoff, phi.cutoff)
         w = coeffs[..., cutoff - m : cutoff + m + 1, cutoff - m : cutoff + m + 1]
         p = phi.coeffs[phi.cutoff - m : phi.cutoff + m + 1, phi.cutoff - m : phi.cutoff + m + 1]
-        vals = np.sum(w * np.conj(p), axis=(-2, -1))
-        resid = float(np.abs(vals.imag).max()) if vals.size else 0.0
-        if resid > HARD_TOL * max(1.0, float(np.abs(vals.real).max())):
-            raise InvariantViolation(f"pairing against phi[{j}] has imaginary residual {resid:.3e}")
-        out[..., j] = vals.real
+        out[..., j] = real_part(np.sum(w * np.conj(p), axis=(-2, -1)), f"pairing against phi[{j}]")
     return out
 
 
@@ -241,9 +233,7 @@ class TruncatedDensity(DensitySpec):
                            seed_offset: int = 1) -> "TruncatedDensity":
         """Estimate Z = E min(base, bound) on a dedicated stream family."""
         est_spec = replace(spec, seed=spec.seed + seed_offset)
-        raw = self.raw_values(sample_batch(est_spec, range(n_samples)), spec.cutoff)
-        z = float(np.mean(raw))
-        se = float(np.std(raw, ddof=1) / np.sqrt(n_samples))
+        z, se = _mean_se(self.raw_values(sample_batch(est_spec, range(n_samples)), spec.cutoff))
         return TruncatedDensity(self.base, self.bound, norm_const=z, norm_std_error=se)
 
 
@@ -275,28 +265,17 @@ class Ensemble:
     def __len__(self) -> int:
         return self.coeffs.shape[0]
 
-    def member(self, i: int) -> tuple[SpectralField, float, int]:
-        return (
-            SpectralField(self.spec.cutoff, self.coeffs[i]),
-            float(self.weights[i]),
-            int(self.stream_ids[i]),
-        )
-
     def pairings(self, phis: Sequence[SpectralField]) -> np.ndarray:
         return pairings_batch(self.coeffs, self.spec.cutoff, phis)
 
     def weighted_mean(self, values: np.ndarray) -> tuple[float, float]:
         """Estimate integral of F against density*measure, with standard error."""
-        x = self.weights * np.asarray(values)
-        m = len(self)
-        return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+        return _mean_se(self.weights * np.asarray(values))
 
     def entropy(self) -> tuple[float, float]:
         """Estimate of integral of rho log rho (mean of w log w with SE)."""
         w = self.weights
-        x = np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
-        m = len(self)
-        return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+        return _mean_se(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0))
 
 
 def init_ensemble(spec: MeasureSpec, density: DensitySpec, count: int,
@@ -429,9 +408,7 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
             if k < steps:
                 state = _advance(state, k1, params, fn, coeffs)
         totals[sl] = block + functional.value(0.0, pair0)
-    x = ensemble.weights * totals
-    residual = float(np.mean(x))
-    se = float(np.std(x, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    residual, se = _mean_se(ensemble.weights * totals)
     return WeakFormResult(residual=residual, std_error=se, n_samples=m, dt=params.dt, bounds=bounds)
 
 
@@ -440,51 +417,3 @@ def sobolev_norm_diff(phi: SpectralField, cutoff: int) -> float:
     proj = project(phi, cutoff)
     back = project(proj, phi.cutoff)
     return float(np.sqrt(np.sum(np.abs(phi.coeffs - back.coeffs) ** 2)))
-
-
-def save_ensemble(ensemble: Ensemble, directory) -> None:
-    """Snapshot: per-member field CSVs plus a manifest of weights and ids."""
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "manifest.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["member", "stream_id", "weight", "t"])
-        for i in range(len(ensemble)):
-            writer.writerow(
-                [i, int(ensemble.stream_ids[i]), "%.17g" % ensemble.weights[i], "%.17g" % ensemble.t]
-            )
-    for i in range(len(ensemble)):
-        field = SpectralField(ensemble.spec.cutoff, ensemble.coeffs[i])
-        save_field_csv(field, os.path.join(directory, f"member_{i:05d}.csv"))
-
-
-def load_ensemble(directory, spec: MeasureSpec) -> Ensemble:
-    """Rebuild an ensemble from a snapshot directory (spec supplied by caller)."""
-    rows = []
-    with open(os.path.join(directory, "manifest.csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["member", "stream_id", "weight", "t"]:
-            raise ValueError(f"unexpected ensemble manifest header: {header}")
-        rows = [(int(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in reader]
-    if not rows:
-        raise ValueError("empty ensemble manifest")
-    t = rows[0][3]
-    d = 2 * spec.cutoff + 1
-    coeffs = np.empty((len(rows), d, d), dtype=complex)
-    weights = np.empty(len(rows))
-    ids = np.empty(len(rows), dtype=int)
-    for i, (member, sid, w, tt) in enumerate(rows):
-        field = load_field_csv(os.path.join(directory, f"member_{member:05d}.csv"))
-        coeffs[i] = project(field, spec.cutoff).coeffs
-        weights[i] = w
-        ids[i] = sid
-    return Ensemble(spec=spec, coeffs=coeffs, weights=weights, stream_ids=ids, t=t)
-
-
-def write_estimates_csv(path, rows: Sequence[tuple[str, float, float, int]]) -> None:
-    """Estimator table: quantity, estimate, std_error, n_samples."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "estimate", "std_error", "n_samples"])
-        for name, est, se, n in rows:
-            writer.writerow([name, "%.17g" % est, "%.17g" % se, int(n)])

@@ -21,7 +21,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.stats
@@ -29,13 +29,12 @@ from scipy.special import gammaln
 
 from .cylinder import CylinderFunctional, bounded_window, ramp_down
 from .dynamics import (
+    DenseForm,
     KernelEval,
     QuadraticForm,
     SpectralDrift,
     dirichlet_values,
     drift,
-    drift_form_frobenius_sq,
-    drift_pairing_batch,
     quadratic_coefficients,
     quadratic_pairing_batch,
     symmetry_integral,
@@ -45,16 +44,18 @@ from .fields import (
     SpectralField,
     dirichlet_kernel,
     dual_pairing,
+    gradient_at,
     grid_to_coeffs,
     project,
     sobolev_norm,
     to_grid,
 )
-from .flow import FlowParams, _step_batch, real_coordinate_layout
+from .flow import FlowParams, real_coordinate_layout
 from .measure import (
     GaussianTilt,
     MeasureSpec,
     UniformDensity,
+    _mean_se,
     init_ensemble,
     pairings_batch,
     pushforward,
@@ -146,12 +147,6 @@ def write_summary_csv(path, reports: Sequence[TestReport]) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    m = len(values)
-    se = float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    return float(np.mean(values)), se
-
-
 # ---------------------------------------------------------------------------
 # named test fields and reference kernels
 
@@ -174,13 +169,58 @@ def named_test_field(name: str) -> SpectralField:
     return SpectralField.from_modes(cutoff, modes)
 
 
+class RankOneForm(QuadraticForm):
+    """Kernel phi(x) psi(y), symmetrized: the pairing is <w,phi><w,psi>."""
+
+    def __init__(self, phi: SpectralField, psi: SpectralField, cutoff: int):
+        self.cutoff = cutoff
+        self.phi, self.psi = project(phi, cutoff), project(psi, cutoff)
+        self._a = np.conj(self.phi.coeffs).ravel()
+        self._b = np.conj(self.psi.coeffs).ravel()
+
+    def pair(self, batch: np.ndarray) -> np.ndarray:
+        flat = batch.reshape(batch.shape[:-2] + (-1,))
+        return (flat @ self._a) * (flat @ self._b)
+
+    def trace(self) -> float:
+        return dual_pairing(self.phi, self.psi)
+
+    def frobenius_sq(self) -> float:
+        # |1/2 (a b^T + b a^T)|^2 = 1/2 (|a|^2 |b|^2 + |a^H b|^2)
+        a, b = self._a, self._b
+        return 0.5 * float(np.vdot(a, a).real * np.vdot(b, b).real + abs(np.vdot(a, b)) ** 2)
+
+    def matrix(self) -> np.ndarray:
+        return 0.5 * (np.outer(self._a, self._b) + np.outer(self._b, self._a))
+
+
 def rank_one_form(phi: SpectralField, cutoff: int, psi: Optional[SpectralField] = None) -> QuadraticForm:
     """Kernel phi(x) psi(y), symmetrized: pairing equals <w,phi><w,psi>."""
-    psi = phi if psi is None else psi
-    a = np.conj(project(phi, cutoff).coeffs).ravel()
-    b = np.conj(project(psi, cutoff).coeffs).ravel()
-    matrix = 0.5 * (np.outer(a, b) + np.outer(b, a))
-    return QuadraticForm(cutoff, matrix)
+    return RankOneForm(phi, phi if psi is None else psi, cutoff)
+
+
+class ExchangeForm(QuadraticForm):
+    """Kernel cos(2 pi (x1 - y1)): A((1,0), (-1,0)) = A((-1,0), (1,0)) = 1/2."""
+
+    def __init__(self, cutoff: int):
+        self.cutoff = cutoff
+
+    def pair(self, batch: np.ndarray) -> np.ndarray:
+        return _exchange_pairing(batch, self.cutoff)
+
+    def trace(self) -> float:
+        return 1.0
+
+    def frobenius_sq(self) -> float:
+        return 0.5
+
+    def matrix(self) -> np.ndarray:
+        d = 2 * self.cutoff + 1
+        table = np.zeros((d * d, d * d), dtype=complex)
+        i = (1 + self.cutoff) * d + self.cutoff       # mode (1, 0)
+        j = (-1 + self.cutoff) * d + self.cutoff      # mode (-1, 0)
+        table[i, j] = table[j, i] = 0.5
+        return table
 
 
 def exchange_kernel(cutoff: int) -> QuadraticForm:
@@ -192,24 +232,16 @@ def exchange_kernel(cutoff: int) -> QuadraticForm:
     """
     if cutoff < 1:
         raise ValueError("exchange kernel needs cutoff >= 1")
-    d = 2 * cutoff + 1
-    matrix = np.zeros((d * d, d * d), dtype=complex)
-    i = (1 + cutoff) * d + cutoff       # mode (1, 0)
-    j = (-1 + cutoff) * d + cutoff      # mode (-1, 0)
-    matrix[i, j] = matrix[j, i] = 0.5
-    return QuadraticForm(cutoff, matrix)
-
-
-def kernel_pairing(batch: np.ndarray, cutoff: int, kernel: QuadraticForm) -> np.ndarray:
-    """Dispatch: structured route for drift forms, dense matrix otherwise."""
-    if kernel.phi is not None and (2 * kernel.cutoff + 1) ** 2 > 900:
-        return drift_pairing_batch(batch, kernel.cutoff, kernel.phi)
-    return quadratic_pairing_batch(batch, cutoff, kernel)
+    return ExchangeForm(cutoff)
 
 
 def _exchange_pairing(batch: np.ndarray, cutoff: int) -> np.ndarray:
-    """Closed form of the exchange-kernel pairing: |w_hat(1,0)|^2."""
-    return np.abs(batch[..., cutoff + 1, cutoff]) ** 2
+    """Closed form of the exchange-kernel pairing: |w_hat(1,0)|^2.
+
+    Written as re*re + im*im, it equals the dense pairing bit for bit.
+    """
+    z = batch[..., cutoff + 1, cutoff]
+    return z.real * z.real + z.imag * z.imag
 
 
 def measured_sup_symmetrized(ke: KernelEval, base_grid: int = 12, diff_grid: int = 32) -> float:
@@ -218,8 +250,6 @@ def measured_sup_symmetrized(ke: KernelEval, base_grid: int = 12, diff_grid: int
     Kernel values depend on the displacement only, so they are evaluated
     once per displacement and recombined with the gradients.
     """
-    from .fields import gradient_at
-
     xs = (np.arange(base_grid) + 0.5) / base_grid
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")
     x = np.stack([x1, x2], axis=-1).reshape(-1, 2)
@@ -253,7 +283,7 @@ def real_form_matrix(form: QuadraticForm) -> np.ndarray:
     t[mirror, 1 + cols] = 1.0 / np.sqrt(2.0)
     t[flat, 1 + h + cols] = 1j / np.sqrt(2.0)
     t[mirror, 1 + h + cols] = -1j / np.sqrt(2.0)
-    b = t.T @ form.matrix @ t
+    b = t.T @ form.matrix() @ t
     b = 0.5 * (b + b.T)
     if float(np.abs(b.imag).max()) > 1e-10 * max(1.0, float(np.abs(b.real).max())):
         raise ValueError("real form has unexpected imaginary part")
@@ -273,9 +303,9 @@ def wick_mean_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
     if spec.cutoff != kernel.cutoff:
         raise ValueError("kernel and measure cutoffs differ")
     batch = sample_batch(spec, range(count))
-    q = kernel_pairing(batch, spec.cutoff, kernel)
+    q = quadratic_pairing_batch(batch, spec.cutoff, kernel)
     mean, se = _mean_se(q)
-    trace = kernel.trace_diagonal()
+    trace = kernel.trace()
     passed = abs(mean - trace) <= 3.0 * se
     return TestReport(
         name=name,
@@ -297,15 +327,12 @@ def wick_variance_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
     if spec.cutoff != kernel.cutoff:
         raise ValueError("kernel and measure cutoffs differ")
     batch = sample_batch(spec, range(count))
-    q = kernel_pairing(batch, spec.cutoff, kernel)
-    centred = q - kernel.trace_diagonal()
+    q = quadratic_pairing_batch(batch, spec.cutoff, kernel)
+    centred = q - kernel.trace()
     var = float(np.mean(centred ** 2))
     m4 = float(np.mean(centred ** 4))
     se_var = float(np.sqrt(max(m4 - var ** 2, 0.0) / count))
-    if kernel.phi is not None:
-        pred = 2.0 * drift_form_frobenius_sq(kernel.phi, kernel.cutoff)
-    else:
-        pred = 2.0 * kernel.frobenius_sq()
+    pred = 2.0 * kernel.frobenius_sq()
     rel = abs(var - pred) / pred if pred > 0 else abs(var)
     passed = abs(var - pred) <= max(0.05 * pred, 3.0 * se_var)
     return TestReport(
@@ -335,7 +362,7 @@ def moment_bound_test(kernel: QuadraticForm, p: int, spec: MeasureSpec, count: i
         raise ValueError("kernel must be normalized to sup norm at most 1")
     t0 = time.perf_counter()
     batch = sample_batch(spec, range(count))
-    q = np.abs(kernel_pairing(batch, spec.cutoff, kernel)) ** p
+    q = np.abs(quadratic_pairing_batch(batch, spec.cutoff, kernel)) ** p
     est, se = _mean_se(q)
     bound = moment_bound(p) * sup_norm ** p
     passed = est + 3.0 * se <= bound
@@ -415,19 +442,10 @@ def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[floa
         sup = 1.0
     else:
         raise ValueError(f"unknown kernel kind {kernel_kind!r}")
-    if kernel_kind == "exchange":
-        # the closed-form route is exact; pin it to the dense pairing once
-        small = batch[:200, n_ref - 2 : n_ref + 3, n_ref - 2 : n_ref + 3]
-        dense = quadratic_pairing_batch(small, 2, exchange_kernel(2))
-        fast = _exchange_pairing(small, 2)
-        if float(np.abs(dense - fast).max()) > 1e-12 * max(1.0, float(np.abs(dense).max())):
-            raise AssertionError("exchange pairing shortcut disagrees with the dense form")
     for n in n_list:
         proj = batch[..., n_ref - n : n_ref + n + 1, n_ref - n : n_ref + n + 1]
-        if kernel_kind == "drift":
-            q = drift_pairing_batch(proj, n, phi) / sup
-        else:
-            q = _exchange_pairing(proj, n)
+        form = quadratic_coefficients(phi, n) if kernel_kind == "drift" else exchange_kernel(n)
+        q = quadratic_pairing_batch(proj, n, form) / sup
         for eps in eps_list:
             vals = np.exp(eps * np.abs(q))
             est, se = _mean_se(vals)
@@ -456,8 +474,7 @@ def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[floa
     n_small = min(n_list)
     if (2 * n_small + 1) ** 2 <= 1200:
         if kernel_kind == "drift":
-            form = quadratic_coefficients(phi, n_small)
-            form = QuadraticForm(n_small, form.matrix / sup, phi=form.phi)
+            form = DenseForm(n_small, quadratic_coefficients(phi, n_small).matrix() / sup)
         else:
             form = exchange_kernel(n_small)
         eig = np.linalg.eigvalsh(real_form_matrix(form))
@@ -501,12 +518,13 @@ def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
     qs = {n: np.empty(count) for n in n_list}
     checked = False
     notes = []
+    forms = {n: quadratic_coefficients(phi, n) for n in n_list}
     for start in range(0, count, chunk):
         ids = range(start, min(start + chunk, count))
         batch = sample_batch(base, ids)
         for n in n_list:
             proj = batch[..., n_ref - n : n_ref + n + 1, n_ref - n : n_ref + n + 1]
-            qvals = drift_pairing_batch(proj, n, phi)
+            qvals = quadratic_pairing_batch(proj, n, forms[n])
             qs[n][start : start + len(qvals)] = qvals
             if not checked:
                 w = SpectralField(n, proj[0])
@@ -515,7 +533,7 @@ def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
                     raise AssertionError("structured pairing disagrees with drift route")
         checked = True
     notes.append("structured pairing cross-checked against the drift route on the first chunk")
-    fro = {n: drift_form_frobenius_sq(phi, n) for n in n_list}
+    fro = {n: forms[n].frobenius_sq() for n in n_list}
     rows = []
     passed = True
     prev_ms = None
@@ -585,9 +603,10 @@ def invariance_test(spec: MeasureSpec, params: FlowParams,
         after = moved.pairings([phi])[:, 0]
         stat, pval = scipy.stats.kstest(after, "norm", args=(0.0, sigma))
         pvals.append(pval)
+        mean, se = _mean_se(after)
         rows.append({"observable": j, "ks_stat": float(stat), "p_value": float(pval),
                      "sigma": sigma, "n_samples": count, "stage": "after", "moment": 0,
-                     "estimate": float(np.mean(after)), "std_error": float(np.std(after, ddof=1) / np.sqrt(count))})
+                     "estimate": mean, "std_error": se})
         for r in _moment_rows(before, "before") + _moment_rows(after, "after"):
             r["observable"] = j
             r.update({"ks_stat": float("nan"), "p_value": float("nan"), "sigma": sigma,
@@ -642,7 +661,7 @@ def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int 
         conv_dev = float(np.abs(wcoef - 1.0).max())
         sym_vals = [abs(symmetry_integral(dirichlet_kernel(n), s, size)) for s in s_basis]
         est = trace_integral(ke, n, size)
-        spectral = quadratic_coefficients(phi, n).trace_diagonal() if (2 * n + 1) ** 2 <= 2000 else 0.0
+        spectral = quadratic_coefficients(phi, n).trace()
         ok = (
             swap_dev <= 1e-13
             and refl_dev <= 1e-13
@@ -708,8 +727,7 @@ def transport_battery(spec: MeasureSpec, params: FlowParams, tilt_phi: SpectralF
     moved_back = pushforward(fresh, params, drift_fn=SpectralDrift(params.cutoff, sign=-1.0))
     pulled = density.values(moved_back.coeffs, spec.cutoff)
     vals2 = pulled * np.tanh(pairings_batch(fresh.coeffs, spec.cutoff, [obs_phi])[:, 0])
-    r2 = float(np.mean(vals2))
-    se2 = float(np.std(vals2, ddof=1) / np.sqrt(count))
+    r2, se2 = _mean_se(vals2)
     two_route_ok = abs(r1 - r2) <= 3.0 * math.hypot(se1, se2)
 
     ent0, ent0_se = ensemble.entropy()

@@ -5,6 +5,7 @@ to watch them).  Statistical checks use 3-standard-error bands from their
 own run at fixed seeds; exact identities use the 1e-12/1e-13 rungs.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -245,6 +246,39 @@ def test_criterion_10_dirichlet_kernel_lemma():
     assert ok
 
 
+# sha256 of every quickcheck report at the bundled seed (the manifest is
+# left out: it also hashes the package version).  Recorded with version
+# 0.2.0; the two exp_integrability_exchange digests were re-recorded with
+# 0.3.0, whose exchange pairing is the closed form re*re + im*im, equal
+# bit for bit to the dense pairing, instead of |w(1,0)|**2, which moved
+# the last digit of two standard errors.
+QUICKCHECK_DIGESTS = {
+    "cauchy.csv": "636cf20e9b9e4048a63adf20d645bfa2582c5958fa301cb6188a7bed24f8066b",
+    "cauchy.json": "24e4a63113d233fc447cf2f25f820d9bdeb87295fae623293960bda87ba79817",
+    "dirichlet_kernel.csv": "83842282c6d3b3227d53c799588377131fdf0ddccf6241225b573d449df4d761",
+    "dirichlet_kernel.json": "9bc23626202a33147e9ed51b5dbc3bc4822101dbd3ac277b1b2fb30f1537cc03",
+    "exp_integrability_exchange.csv": "1e552bc6a3dcf91e826cb6602a7625b90b478364a55b89a7b10a93f15bff28de",
+    "exp_integrability_exchange.json": "7191494fd23cdc38620b5752519335d98cb07e9968f11154dddeb06bc9e95b0a",
+    "invariance.csv": "cb9289862b457eca8159e6938f7cbfd9e2442dddf03a8320d15c02f332e0e041",
+    "invariance.json": "8fc7f18e83f2b43339e6b16e8ae216361cc3a94c2f90dc0f9fc285039b3f9c5f",
+    "invariance_negative.csv": "305b342153ef1335b708c38031a2487ea7dafc11311cebd3751bed60fd4a367f",
+    "invariance_negative.json": "068273017344e90fe331a6b6a787f263dcc2f4ab76b8e1bf3a9dc5c6f00116dc",
+    "moment_bound_p2.csv": "5e8735263b7949a6f2f0be1fcd6efd566da3fa3ab33a4da383b5980c6672ed91",
+    "moment_bound_p2.json": "42cb5d205e2e1dd66f84f454087f48fa87ec52c6d2958f96aa888887e401544e",
+    "moment_bound_p3.csv": "eae829b499d2273a17c6d9f84229dbc870d4608a4de3a4a9e4693429416342d1",
+    "moment_bound_p3.json": "24587e70435ec8209995a105fcbb7084baccde35f7a46aa2b7592288ff6fa354",
+    "moment_bound_p4.csv": "3f253eae40da37d7bd4b221f8e29e42f5c480fc26393af46c86388074aff1a1c",
+    "moment_bound_p4.json": "fad930daaa7bd552557229d446f82040f8090f57a0c7d3a2a29b50a209d65698",
+    "summary.csv": "f7d53eaf07d54743a0dccc492b67e332c662970ec4e70cf6e41df23058f31465",
+    "transport.csv": "2960bbb8e8b1e1b4cb2513335bcef09d721528a52aca77f11eb71b6afea5761f",
+    "transport.json": "a71a01289f34b372a11b4585f45ef0b2cf6732ec43be3a5aa6ba4445fbbec43c",
+    "wick_mean.csv": "e1c367eb0f03793711b385a6c3347d52fcf38fbcafb4ce52a6d9481b4348310e",
+    "wick_mean.json": "7c58d8e7c9521a46d05ab395b4ae295fe292891bb0cad791ff3fee55f7b1f43e",
+    "wick_variance.csv": "33d0d0b719d067193cfadc2c8745db283e708c9f0a4f428770dab9d3aac576dd",
+    "wick_variance.json": "986c515141304c2c3e57bd4cc38138fd59608847bbae26ea93c948ddeb77f5b2",
+}
+
+
 def test_criterion_11_reproducibility(tmp_path):
     import importlib.resources as res
 
@@ -255,7 +289,11 @@ def test_criterion_11_reproducibility(tmp_path):
     identical = True
     for name in sorted(os.listdir(out1)):
         identical = identical and (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    ok = code1 == 0 and code2 == 0 and identical
+    digests = {name: hashlib.sha256((out1 / name).read_bytes()).hexdigest()
+               for name in os.listdir(out1) if name != "manifest.json"}
+    pinned = digests == QUICKCHECK_DIGESTS
+    ok = code1 == 0 and code2 == 0 and identical and pinned
     assert _line(11, ok, f"quickcheck reruns byte-identical across "
-                         f"{len(os.listdir(out1))} artifacts, all batteries passing")
+                         f"{len(os.listdir(out1))} artifacts, reports match the pinned "
+                         f"digests, all batteries passing")
     assert ok

@@ -1,4 +1,4 @@
-"""Config validation, exit codes, manifests, reproducibility, bench."""
+"""Config validation, exit codes, manifests, reproducibility."""
 
 import hashlib
 import json
@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import enstrophy_lab
-from enstrophy_lab.cli import BATTERY_BUILDERS, ConfigError, bench, load_config, main, run
+from enstrophy_lab.cli import BATTERY_BUILDERS, ConfigError, load_config, main, run
 from enstrophy_lab.dynamics import env_workers, fft_workers
 
 
@@ -56,6 +56,38 @@ class TestConfigValidation:
             "tests": [{"name": "wick_mean", "params": {"N": "four"}}],
         })
         assert run(cfg, out_dir=str(tmp_path / "out")) == 2
+
+    @pytest.mark.parametrize("name,params,field", [
+        # a bool is neither an int nor a float (True ran as N=1 and passed)
+        ("moment_bound", {"N": True, "M": 200}, "N"),
+        ("invariance", {"N": 2, "M": 50, "T": True, "dt": 0.5}, "T"),
+        ("exp_integrability", {"M": 200, "N_list": [2, False]}, "N_list[1]"),
+        # cutoffs and counts below what the battery accepts (N=0 raised
+        # inside the battery, exit 1; M=1 passed with a standard error of 0)
+        ("moment_bound", {"N": 0, "M": 200}, "N"),
+        ("moment_bound", {"N": 2, "M": 1}, "M"),
+        ("wick_mean", {"N": 2, "M": 999, "kernel": "exchange"}, "M"),
+        ("cauchy", {"N_list": [2, 4], "N_ref": 3, "M": 100}, "N_ref"),
+        ("dirichlet_kernel", {"N_list": [2], "G": 13}, "G"),
+        # the moment order
+        ("moment_bound", {"N": 2, "M": 200, "p": 7}, "p"),
+        ("moment_bound", {"N": 2, "M": 200, "p": 1}, "p"),
+        # a key no battery reads (the typo "dT" was ignored)
+        ("invariance", {"N": 2, "M": 50, "T": 0.02, "dT": 0.01}, "dT"),
+        ("wick_variance", {"N": 2, "M": 200, "kernel": "exchange", "phi": "cos_x1"}, "phi"),
+        # an unknown observable (raised inside the battery, exit 1)
+        ("invariance", {"N": 2, "M": 50, "T": 0.02, "observables": ["cos_x1", "nope"]},
+         "observables[1]"),
+    ])
+    def test_entries_checked_before_any_battery_runs(self, tmp_path, capsys, name, params, field):
+        # a valid entry first: nothing may run, and no output directory appear
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 1, "tests": [
+            {"name": "moment_bound", "params": {"N": 2, "M": 200, "p": 2}},
+            {"name": name, "params": params}]})
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=str(out)) == 2
+        assert f"tests[1].params.{field}:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_load_config_reports_field(self, tmp_path):
         path = write_cfg(tmp_path / "c.json", {"seed": "x"})
@@ -187,8 +219,8 @@ class TestRun:
 
 
     @pytest.mark.parametrize("tests,pair", [
-        ([{"name": "wick_mean", "params": {"N": 2, "M": 200, "kernel": "exchange"}},
-          {"name": "wick_mean", "params": {"N": 3, "M": 200, "kernel": "exchange"}}], (0, 1)),
+        ([{"name": "wick_mean", "params": {"N": 2, "M": 1000, "kernel": "exchange"}},
+          {"name": "wick_mean", "params": {"N": 3, "M": 1000, "kernel": "exchange"}}], (0, 1)),
         ([{"name": "moment_bound", "params": {"N": 2, "M": 200, "p": 3}},
           {"name": "moment_bound", "params": {"N": 2, "M": 200, "p": 2}},
           {"name": "moment_bound", "params": {"N": 3, "M": 200}}], (1, 2)),
@@ -237,19 +269,7 @@ class TestBundledConfig:
         assert all(t["name"] in BATTERY_BUILDERS for t in cfg["tests"])
 
 
-class TestBench:
-    def test_bench_writes_table(self, tmp_path):
-        assert bench(max_n=4, out_dir=str(tmp_path)) == 0
-        lines = (tmp_path / "throughput.csv").read_text().splitlines()
-        assert lines[0] == "N,grid,direct_evals_per_s,dealiased_evals_per_s,rel_dev"
-        assert len(lines) == 3  # N = 2, 4
-
-
 class TestMain:
     def test_cli_entry_run(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", {"seed": 1, "tests": []})
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
-
-    def test_cli_entry_bench(self, capsys):
-        assert main(["bench", "--max-n", "2"]) == 0
-        assert "dealiased/s" in capsys.readouterr().out

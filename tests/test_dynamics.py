@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from enstrophy_lab.dynamics import (
+    DenseForm,
     InvariantViolation,
-    QuadraticForm,
     SpectralDrift,
     biot_savart,
     curl,
@@ -224,20 +224,44 @@ class TestPaddedDriftBytes:
             assert np.array_equal(out, serial[i % len(inputs)])
 
 
+def _drift_table(phi: SpectralField, cutoff: int) -> np.ndarray:
+    """A(n, m) = 1/2 (perp(m).n) (1/|n|^2 - 1/|m|^2) phi_hat(-n-m), entry by entry."""
+    modes = [(a, b) for a in range(-cutoff, cutoff + 1) for b in range(-cutoff, cutoff + 1)]
+    table = np.zeros((len(modes), len(modes)), dtype=complex)
+    for i, n in enumerate(modes):
+        for j, m in enumerate(modes):
+            nn, mm = n[0] ** 2 + n[1] ** 2, m[0] ** 2 + m[1] ** 2
+            if nn and mm:
+                cross = m[1] * n[0] - m[0] * n[1]
+                table[i, j] = 0.5 * cross * (1 / nn - 1 / mm) * phi.coeff(-n[0] - m[0], -n[1] - m[1])
+    return table
+
+
+def _entry(form, n, m):
+    """A(n, m) of the dense table of a form."""
+    d = 2 * form.cutoff + 1
+    i = (n[0] + form.cutoff) * d + (n[1] + form.cutoff)
+    j = (m[0] + form.cutoff) * d + (m[1] + form.cutoff)
+    return complex(form.matrix()[i, j])
+
+
 class TestQuadraticForm:
     def test_structural_zeros(self):
         phi = white_field(2, np.random.default_rng(1))
         form = quadratic_coefficients(phi, 2)
-        form.validate(drift_structure=True)
+        table = DenseForm(2, form.matrix()).matrix()  # symmetric and conjugation-symmetric
         n1, n2 = mode_grids(2)
+        nn = (n1 ** 2 + n2 ** 2).ravel()
+        assert np.all(table[np.equal.outer(nn, nn)] == 0)  # zero where |n| = |m|
+        assert np.all(table[nn == 0, :] == 0) and np.all(table[:, nn == 0] == 0)
         for n in [(1, 0), (2, 1), (1, -2)]:
-            assert form.entry(n, (-n[0], -n[1])) == 0
-        assert form.trace_diagonal() == 0.0
+            assert _entry(form, n, (-n[0], -n[1])) == 0
+        assert form.trace() == 0.0
 
     def test_handbook_entry(self):
         phi = SpectralField.from_modes(3, {(2, 1): 1.0})
         form = quadratic_coefficients(phi, 2)
-        assert form.entry((1, 0), (1, 1)) == 0.25
+        assert _entry(form, (1, 0), (1, 1)) == 0.25
         # cross-check through the drift route on a two-mode field
         w = SpectralField.from_modes(2, {(1, 0): 1.0, (1, 1): 1.0})
         lhs = quadratic_pairing(w, form)
@@ -247,7 +271,8 @@ class TestQuadraticForm:
     def test_constant_test_field_gives_zero(self):
         phi = SpectralField.from_modes(0, {(0, 0): 5.0})
         form = quadratic_coefficients(phi, 3)
-        assert np.all(form.matrix == 0)
+        assert np.all(form.matrix() == 0)
+        assert form.trace() == 0.0 and form.frobenius_sq() == 0.0
 
     def test_pairing_identity_random(self, rng):
         for _ in range(100):
@@ -270,29 +295,32 @@ class TestQuadraticForm:
         assert quadratic_pairing(white_field(2, rng), form) == 0.0
 
     def test_structured_pairing_matches_dense(self, rng):
-        phi = SpectralField.from_modes(2, {(1, 1): 0.5, (2, 0): 0.25 + 0.1j})
-        form = quadratic_coefficients(phi, 5)
-        batch = np.stack([white_field(5, rng).coeffs for _ in range(16)])
-        dense = quadratic_pairing_batch(batch, 5, form)
-        fast = drift_pairing_batch(batch, 5, phi)
-        assert np.abs(dense - fast).max() <= 1e-10 * max(1.0, np.abs(dense).max())
-        assert abs(form.frobenius_sq() - drift_form_frobenius_sq(phi, 5)) <= 1e-10 * form.frobenius_sq()
+        # every method of the drift form against a dense reference whose
+        # table is built entry by entry from the definition
+        fields = [SpectralField.from_modes(2, {(1, 1): 0.5, (2, 0): 0.25 + 0.1j}),
+                  SpectralField.from_modes(1, {(0, 0): 2.0, (1, 0): 0.5}),
+                  white_field(2, np.random.default_rng(3))]
+        for phi in fields:
+            for n in range(1, 6):
+                form = quadratic_coefficients(phi, n)
+                dense = DenseForm(n, _drift_table(phi, n))
+                assert np.abs(form.matrix() - dense.matrix()).max() <= 1e-15
+                batch = np.stack([white_field(n, rng).coeffs for _ in range(16)])
+                ref = quadratic_pairing_batch(batch, n, dense)
+                fast = quadratic_pairing_batch(batch, n, form)
+                assert np.array_equal(fast, drift_pairing_batch(batch, n, phi))
+                assert np.abs(ref - fast).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+                assert abs(form.frobenius_sq() - dense.frobenius_sq()) <= 1e-12 * dense.frobenius_sq()
+                assert form.frobenius_sq() == drift_form_frobenius_sq(phi, n)
+                assert form.trace() == dense.trace() == 0.0
 
     def test_cutoff_mismatch_rejected(self, rng):
         form = quadratic_coefficients(white_field(2, rng), 2)
         with pytest.raises(ValueError):
             quadratic_pairing(white_field(3, rng), form)
 
-    def test_csv_export(self, tmp_path, rng):
-        form = quadratic_coefficients(SpectralField.from_modes(1, {(1, 1): 0.5}), 2)
-        path = tmp_path / "form.csv"
-        form.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n1,n2,m1,m2,re,im"
-        assert len(lines) > 1  # nonzero entries present
-
     def test_symmetry_validation_catches_breakage(self):
         bad = np.zeros((9, 9), dtype=complex)
         bad[0, 1] = 1.0
         with pytest.raises(InvariantViolation):
-            QuadraticForm(1, bad).validate()
+            DenseForm(1, bad)

@@ -12,9 +12,7 @@ from enstrophy_lab.fields import (
     dual_pairing,
     evaluate_at,
     from_grid,
-    load_field_csv,
     project,
-    save_field_csv,
     sobolev_norm,
     to_grid,
     validate_field,
@@ -197,32 +195,3 @@ class TestGridTransforms:
         g = 8
         pts = np.stack(np.meshgrid(np.arange(g) / g, np.arange(g) / g, indexing="ij"), axis=-1)
         assert np.abs(evaluate_at(f, pts) - to_grid(f, g).values).max() <= 1e-10
-
-
-class TestSnapshotCsv:
-    def test_roundtrip_bitwise(self, rng, tmp_path):
-        f = white_field(3, rng)
-        path = tmp_path / "field.csv"
-        save_field_csv(f, path)
-        back = load_field_csv(path)
-        assert back.cutoff == 3
-        assert np.array_equal(back.coeffs, f.coeffs)
-
-    def test_header_and_order(self, rng, tmp_path):
-        f = white_field(1, rng)
-        path = tmp_path / "field.csv"
-        save_field_csv(f, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n1,n2,re,im"
-        firsts = [tuple(map(int, ln.split(",")[:2])) for ln in lines[1:]]
-        assert firsts == sorted(firsts)
-
-    def test_loader_validates_reality(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        rows = ["n1,n2,re,im"]
-        for n1 in (-1, 0, 1):
-            for n2 in (-1, 0, 1):
-                rows.append(f"{n1},{n2},{1.0 if (n1, n2) == (1, 0) else 0.0},0")
-        path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(InvariantViolation):
-            load_field_csv(path)

@@ -129,15 +129,6 @@ class TestEvolve:
         order = np.log2(np.linalg.norm(f1 - f2) / np.linalg.norm(f2 - f3))
         assert order >= min_order
 
-    def test_diagnostics_csv(self, tmp_path):
-        w = unit_field(4)
-        traj = evolve(w, FlowParams(cutoff=4, dt=1e-2, t_end=0.05))
-        path = tmp_path / "diag.csv"
-        traj.save_diagnostics_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,t,enstrophy,energy,ortho_residual"
-        assert len(lines) == 2 + traj.params.n_steps
-
     def test_cutoff_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evolve(unit_field(4), FlowParams(cutoff=6, dt=1e-2, t_end=0.1))

@@ -122,7 +122,7 @@ class TestTraceIntegral:
         assert abs(est.value) <= est.error
 
     def test_spectral_route_exact_zero(self):
-        assert quadratic_coefficients(PHI, 4).trace_diagonal() == 0.0
+        assert quadratic_coefficients(PHI, 4).trace() == 0.0
 
     def test_size_precondition(self, ke):
         with pytest.raises(ValueError):

@@ -20,14 +20,11 @@ from enstrophy_lab.measure import (
     UniformDensity,
     density_value,
     init_ensemble,
-    load_ensemble,
     pushforward,
     sample_batch,
     sample_coeffs,
     sample_white_noise,
-    save_ensemble,
     weak_form_residual,
-    write_estimates_csv,
     _half_layout,
     _philox_keys,
 )
@@ -274,16 +271,6 @@ class TestEnsembleTransport:
             pushforward(e, bad)
         assert len(info.value.failed_members) >= 1
 
-    def test_snapshot_roundtrip(self, tmp_path):
-        e = init_ensemble(SPEC, GaussianTilt(PHI), 5)
-        save_ensemble(e, tmp_path / "snap")
-        back = load_ensemble(tmp_path / "snap", SPEC)
-        assert np.array_equal(back.coeffs, e.coeffs)
-        assert np.array_equal(back.weights, e.weights)
-        assert np.array_equal(back.stream_ids, e.stream_ids)
-        header = (tmp_path / "snap" / "manifest.csv").read_text().splitlines()[0]
-        assert header == "member,stream_id,weight,t"
-
 
 class TestWeakForm:
     def test_time_only_functional_telescopes(self):
@@ -407,11 +394,3 @@ class TestTransportBytes:
         fast = weak_form_residual(e, func, p, drift_fn=drv, chunk_size=16)
         generic = weak_form_residual(e, func, p, drift_fn=lambda c: drv(c), chunk_size=16)
         assert _weak_form_digest(fast) == _weak_form_digest(generic)
-
-
-def test_estimates_csv(tmp_path):
-    path = tmp_path / "estimates.csv"
-    write_estimates_csv(path, [("mean", 1.0, 0.01, 100)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "quantity,estimate,std_error,n_samples"
-    assert lines[1].startswith("mean,1,")

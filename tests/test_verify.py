@@ -5,13 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from enstrophy_lab.dynamics import quadratic_coefficients
-from enstrophy_lab.fields import SpectralField
+from enstrophy_lab.dynamics import DenseForm, quadratic_coefficients, quadratic_pairing_batch
+from enstrophy_lab.fields import SpectralField, dual_pairing, project
 from enstrophy_lab.measure import MeasureSpec, sample_batch
 from enstrophy_lab.verify import (
     TestReport,
+    _exchange_pairing,
     exchange_kernel,
-    kernel_pairing,
     measured_sup_symmetrized,
     moment_bound,
     named_test_field,
@@ -27,13 +27,23 @@ from enstrophy_lab.dynamics import KernelEval
 class TestReferenceKernels:
     def test_exchange_kernel_constants(self):
         k = exchange_kernel(3)
-        assert k.trace_diagonal() == 1.0
+        assert k.trace() == 1.0
         assert abs(k.frobenius_sq() - 0.5) <= 1e-15
+        dense = DenseForm(3, k.matrix())
+        assert dense.trace() == 1.0 and dense.frobenius_sq() == 0.5
+
+    def test_exchange_closed_form_equals_dense(self):
+        # bitwise, so that the sparse form changes no report byte
+        for n in range(1, 17):
+            batch = sample_batch(MeasureSpec(cutoff=n, seed=20260801), range(300))
+            dense = quadratic_pairing_batch(batch, n, DenseForm(n, exchange_kernel(n).matrix()))
+            assert np.array_equal(quadratic_pairing_batch(batch, n, exchange_kernel(n)), dense)
+            assert np.array_equal(_exchange_pairing(batch, n), dense)
 
     def test_exchange_pairing_is_exponential(self):
         spec = MeasureSpec(cutoff=3, seed=5)
         batch = sample_batch(spec, range(4000))
-        q = kernel_pairing(batch, 3, exchange_kernel(3))
+        q = quadratic_pairing_batch(batch, 3, exchange_kernel(3))
         assert np.all(q >= 0)
         se = q.std(ddof=1) / np.sqrt(len(q))
         assert abs(q.mean() - 1.0) <= 3 * se
@@ -41,16 +51,29 @@ class TestReferenceKernels:
     def test_rank_one_trace_is_field_norm(self):
         phi = named_test_field("cos_x1")
         k = rank_one_form(phi, 2)
-        assert abs(k.trace_diagonal() - 0.5) <= 1e-15
+        assert abs(k.trace() - 0.5) <= 1e-15
+
+    def test_rank_one_form_matches_dense(self):
+        phi = named_test_field("mix_low")
+        psi = named_test_field("cos_2x1_plus_x2")
+        for n in (2, 3):
+            k = rank_one_form(phi, n, psi)
+            dense = DenseForm(n, k.matrix())
+            # the trace is exactly <phi, psi>
+            assert k.trace() == dual_pairing(project(phi, n), project(psi, n))
+            assert abs(k.trace() - dense.trace()) <= 1e-15
+            assert abs(k.frobenius_sq() - dense.frobenius_sq()) <= 1e-14
+            batch = sample_batch(MeasureSpec(cutoff=n, seed=9), range(50))
+            got = quadratic_pairing_batch(batch, n, k)
+            ref = quadratic_pairing_batch(batch, n, dense)
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_critical_epsilon_exchange(self):
         eig = np.linalg.eigvalsh(real_form_matrix(exchange_kernel(2)))
         assert abs(1.0 / (2 * np.abs(eig).max()) - 1.0) <= 1e-12
 
     def test_zero_kernel_exponential_moment_is_one(self):
-        from enstrophy_lab.dynamics import QuadraticForm, quadratic_pairing_batch
-
-        zero = QuadraticForm(2, np.zeros((25, 25), dtype=complex))
+        zero = DenseForm(2, np.zeros((25, 25), dtype=complex))
         spec = MeasureSpec(cutoff=2, seed=1)
         q = quadratic_pairing_batch(sample_batch(spec, range(100)), 2, zero)
         assert np.all(np.exp(0.3 * np.abs(q)) == 1.0)
@@ -136,7 +159,7 @@ class TestBatteryGuards:
     def test_drift_kernel_mean_is_trace_free(self):
         phi = named_test_field("cos_x1_plus_x2")
         form = quadratic_coefficients(phi, 3)
-        assert form.trace_diagonal() == 0.0
+        assert form.trace() == 0.0
         rep = wick_mean_test(form, MeasureSpec(cutoff=3, seed=21), 4000)
         assert rep.passed
         assert rep.summary["exact_trace"] == 0.0
