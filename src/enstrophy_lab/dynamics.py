@@ -158,26 +158,9 @@ def _drift_multipliers(cutoff: int):
     )
 
 
-def _drift_dealiased(coeffs: np.ndarray, cutoff: int, workers: int | None = None) -> np.ndarray:
-    """Batched pseudo-spectral drift on (..., 2N+1, 2N+1) tables.
-
-    Each velocity component is paired with the matching vorticity
-    derivative in one complex transform: both are real fields, so the real
-    and imaginary parts of the synthesized grid separate them exactly.
-    """
-    if workers is None:
-        workers = fft_workers()
-    mu1, mu2, md1, md2 = _drift_multipliers(cutoff)
-    size = dealias_grid_size(cutoff)
-    # pack the two same-scale components of each vector field into one
-    # complex transform: Re/Im of the synthesized grid separate them
-    gu = scipy.fft.ifft2(embed_layout(coeffs * (mu1 + 1j * mu2), size),
-                         axes=(-2, -1), workers=workers)
-    gd = scipy.fft.ifft2(embed_layout(coeffs * (md1 + 1j * md2), size),
-                         axes=(-2, -1), workers=workers)
-    prod = gu.real * gd.real + gu.imag * gd.imag
-    back = scipy.fft.fft2(prod, axes=(-2, -1), workers=workers)
-    return -extract_layout(back, cutoff) * (size * size)
+def _drift_dealiased(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
+    """Batched pseudo-spectral drift on (..., 2N+1, 2N+1) tables."""
+    return SpectralDrift(cutoff)(coeffs)
 
 
 def _drift_direct(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
@@ -193,22 +176,24 @@ def _drift_direct(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 class SpectralDrift:
-    """Projected drift as a reusable callable.
+    """The projected drift, and the only drift the integrators take.
 
-    Supports an optional constant shift (negative controls) and a sign
-    flip (time reversal).  Precomputes the padded-layout multiplier tables
-    so that implicit solvers can iterate without re-embedding the state on
-    every sweep; `padded_drift` consumes and produces the padded layout.
-    Its two transform inputs live in per-thread scratch buffers kept for
-    the latest batch shape, so one instance may be shared between threads
-    and every call returns a fresh array.
+    Its output is ``sign * (b_N(w) + shift)``: the optional constant shift
+    makes negative controls and sign -1 reverses time.  The padded-layout
+    multiplier tables are precomputed, so integrators pad a state once and
+    step it there; `padded_drift` consumes and produces the padded layout,
+    and calling the instance on lattice tables pads and unpads.  Each
+    velocity component is paired with the matching vorticity derivative in
+    one complex transform: both are real fields, so the real and imaginary
+    parts of the synthesized grid separate them exactly.  The two
+    transform inputs live in per-thread scratch buffers kept for the
+    latest batch shape, so one instance may be shared between threads and
+    every call returns a fresh array.
     """
 
-    def __init__(self, cutoff: int, shift: Optional[np.ndarray] = None,
-                 sign: float = 1.0, workers: int | None = None):
+    def __init__(self, cutoff: int, shift: Optional[np.ndarray] = None, sign: float = 1.0):
         self.cutoff = cutoff
         self.sign = float(sign)
-        self.workers = workers
         self.size = dealias_grid_size(cutoff)
         mu1, mu2, md1, md2 = _drift_multipliers(cutoff)
         self._pu = embed_layout(mu1 + 1j * mu2, self.size)
@@ -240,7 +225,7 @@ class SpectralDrift:
         return local.bufs
 
     def padded_drift(self, state_pad: np.ndarray) -> np.ndarray:
-        workers = self.workers if self.workers is not None else fft_workers()
+        workers = fft_workers()
         su, sd = self._buffers(state_pad.shape)
         gu = scipy.fft.ifft2(np.multiply(state_pad, self._pu, out=su), axes=(-2, -1),
                              workers=workers, overwrite_x=True)

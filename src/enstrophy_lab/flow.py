@@ -6,6 +6,11 @@ the fixed point the quadratic invariants are conserved up to solver
 tolerance because the drift is orthogonal to the state.  Non-convergence
 is surfaced as `StepFailure` (no silent time-step adaptation).
 
+The drift is always a `SpectralDrift` (with an optional constant shift and
+a sign), and every step runs in its padded transform layout through
+`_advance`: the drift output is masked to the retained lattice, so stage
+combinations stay inside it and padding once per trajectory is exact.
+`evolve` takes its orthogonality diagnostic from each step's k1.
 Array cores operate on stacked coefficient tables so that ensembles of
 trajectories integrate vectorized; independent trajectories never
 interact, which keeps results deterministic under any scheduling.
@@ -18,10 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import SpectralDrift, _drift_dealiased, _inverse_norm_sq
+from .dynamics import SpectralDrift, _inverse_norm_sq
 from .fields import SpectralField, half_lattice_mask, project
-
-DriftFn = Callable[[np.ndarray], np.ndarray]
 
 
 class StepFailure(Exception):
@@ -65,16 +68,23 @@ def _batch_norm(coeffs: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)))))
 
 
-def _rk4_from(state: np.ndarray, k1: np.ndarray, dt: float, drift_fn: DriftFn) -> np.ndarray:
-    """One classical rk4 step from `state`, given k1 = drift_fn(state)."""
-    k2 = drift_fn(state + (0.5 * dt) * k1)
-    k3 = drift_fn(state + (0.5 * dt) * k2)
-    k4 = drift_fn(state + dt * k3)
+def _resolve_drift(drift_fn: Optional[SpectralDrift], cutoff: int) -> SpectralDrift:
+    """The drift to integrate with: `drift_fn`, or the Euler drift when None."""
+    if drift_fn is None:
+        return SpectralDrift(cutoff)
+    if not isinstance(drift_fn, SpectralDrift):
+        raise TypeError(f"drift_fn must be a SpectralDrift, got {type(drift_fn).__name__}")
+    if drift_fn.cutoff != cutoff:
+        raise ValueError(f"drift cutoff {drift_fn.cutoff} does not match flow cutoff {cutoff}")
+    return drift_fn
+
+
+def _rk4_from(state: np.ndarray, k1: np.ndarray, dt: float, drv: SpectralDrift) -> np.ndarray:
+    """One classical rk4 step from padded `state`, given k1 = drv.padded_drift(state)."""
+    k2 = drv.padded_drift(state + (0.5 * dt) * k1)
+    k3 = drv.padded_drift(state + (0.5 * dt) * k2)
+    k4 = drv.padded_drift(state + dt * k3)
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _step_rk4(coeffs: np.ndarray, dt: float, drift_fn: DriftFn) -> np.ndarray:
-    return _rk4_from(coeffs, drift_fn(coeffs), dt, drift_fn)
 
 
 def _midpoint_failure(inc: np.ndarray, tol_abs: float, dt: float, sweeps: int,
@@ -94,18 +104,19 @@ def _midpoint_failure(inc: np.ndarray, tol_abs: float, dt: float, sweeps: int,
     )
 
 
-def _midpoint_from(base: np.ndarray, k1: np.ndarray, dt: float, drift_fn: DriftFn,
+def _midpoint_from(base: np.ndarray, k1: np.ndarray, dt: float, drv: SpectralDrift,
                    tol_abs: float, max_iter: int) -> np.ndarray:
     """Solve w' = base + dt * b((base + w')/2) from the predictor base + dt * k1.
 
-    A contraction shrinks the largest increment from sweep to sweep, so an
-    increment that is not finite or exceeds the first sweep's stops the
-    iteration at once, before it can overflow.
+    `base` is padded and k1 = drv.padded_drift(base).  A contraction
+    shrinks the largest increment from sweep to sweep, so an increment
+    that is not finite or exceeds the first sweep's stops the iteration at
+    once, before it can overflow.
     """
     state = base + dt * k1
     first = None
     for sweep in range(1, max_iter + 1):
-        new = base + dt * drift_fn(0.5 * (base + state))
+        new = base + dt * drv.padded_drift(0.5 * (base + state))
         inc = np.sqrt(np.sum(np.abs(new - state) ** 2, axis=(-2, -1)))
         state = new
         worst = inc.max()
@@ -118,65 +129,54 @@ def _midpoint_from(base: np.ndarray, k1: np.ndarray, dt: float, drift_fn: DriftF
     raise _midpoint_failure(inc, tol_abs, dt, max_iter)
 
 
-def _step_midpoint(coeffs: np.ndarray, dt: float, drift_fn: DriftFn, tol: float, max_iter: int) -> np.ndarray:
-    scale = max(1.0, _batch_norm(coeffs))
-    return _midpoint_from(coeffs, drift_fn(coeffs), dt, drift_fn, tol * scale, max_iter)
+def _advance(state: np.ndarray, k1: np.ndarray, params: FlowParams, drv: SpectralDrift,
+             scale_from: np.ndarray) -> np.ndarray:
+    """One step of the configured scheme from padded `state`, given k1 = drv.padded_drift(state).
+
+    `scale_from` holds the same tables, padded or not; its largest norm
+    scales the midpoint tolerance.
+    """
+    if params.integrator == "rk4":
+        return _rk4_from(state, k1, params.dt, drv)
+    scale = max(1.0, _batch_norm(scale_from))
+    return _midpoint_from(state, k1, params.dt, drv, params.midpoint_tol * scale,
+                          params.midpoint_max_iter)
+
+
+def _step_batch(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift) -> np.ndarray:
+    """One step of lattice tables; the lattice norm scales the midpoint tolerance."""
+    state = drv.pad(coeffs)
+    return drv.unpad(_advance(state, drv.padded_drift(state), params, drv, coeffs))
+
+
+def _step_rk4(coeffs: np.ndarray, dt: float, drv: SpectralDrift) -> np.ndarray:
+    return _step_batch(coeffs, FlowParams(drv.cutoff, dt, dt, "rk4"), drv)
 
 
 def _step_midpoint_fused(coeffs: np.ndarray, dt: float, drv: SpectralDrift,
                          tol: float, max_iter: int) -> np.ndarray:
-    # same fixed-point iteration, kept in the padded transform layout so
-    # each sweep costs three transforms and no embedding copies
-    scale = max(1.0, _batch_norm(coeffs))
-    base = drv.pad(coeffs)
-    return drv.unpad(_midpoint_from(base, drv.padded_drift(base), dt, drv.padded_drift,
-                                    tol * scale, max_iter))
+    return _step_batch(coeffs, FlowParams(drv.cutoff, dt, dt, "implicit_midpoint", tol, max_iter), drv)
 
 
-def _step_batch(coeffs: np.ndarray, params: FlowParams, drift_fn: Optional[DriftFn] = None,
-                workers: int | None = None) -> np.ndarray:
-    if drift_fn is None:
-        drift_fn = SpectralDrift(params.cutoff, workers=workers)
-    if params.integrator == "rk4":
-        return _step_rk4(coeffs, params.dt, drift_fn)
-    if isinstance(drift_fn, SpectralDrift):
-        return _step_midpoint_fused(coeffs, params.dt, drift_fn,
-                                    params.midpoint_tol, params.midpoint_max_iter)
-    return _step_midpoint(coeffs, params.dt, drift_fn, params.midpoint_tol, params.midpoint_max_iter)
-
-
-def _advance(state: np.ndarray, k1: np.ndarray, params: FlowParams, drift_fn: DriftFn,
-             scale_from: np.ndarray) -> np.ndarray:
-    """One step of the configured scheme from `state`, given k1 = drift_fn(state).
-
-    `state` may be padded.  `scale_from` holds the same tables, padded or
-    not; its largest norm scales the midpoint tolerance.
-    """
-    if params.integrator == "rk4":
-        return _rk4_from(state, k1, params.dt, drift_fn)
-    scale = max(1.0, _batch_norm(scale_from))
-    return _midpoint_from(state, k1, params.dt, drift_fn, params.midpoint_tol * scale,
-                          params.midpoint_max_iter)
+def _step_midpoint(coeffs: np.ndarray, dt: float, drv: SpectralDrift, tol: float, max_iter: int) -> np.ndarray:
+    return _step_midpoint_fused(coeffs, dt, drv, tol, max_iter)
 
 
 def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
                 n_steps: int) -> np.ndarray:
-    """Integrate n_steps entirely in the padded transform layout.
-
-    Stage combinations stay inside the retained lattice because the drift
-    output is masked, so padding once per trajectory is exact.
-    """
+    """Integrate n_steps from lattice tables, padded once; the padded norm scales the tolerance."""
     state = drv.pad(coeffs)
     for _ in range(n_steps):
-        state = _advance(state, drv.padded_drift(state), params, drv.padded_drift, state)
+        state = _advance(state, drv.padded_drift(state), params, drv, state)
     return drv.unpad(state)
 
 
-def step(field: SpectralField, params: FlowParams, drift_fn: Optional[DriftFn] = None) -> SpectralField:
+def step(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift] = None) -> SpectralField:
     """Advance one time step with the configured scheme."""
     if field.cutoff != params.cutoff:
         raise ValueError("field cutoff does not match flow parameters")
-    return SpectralField(params.cutoff, _step_batch(field.coeffs, params, drift_fn))
+    drv = _resolve_drift(drift_fn, params.cutoff)
+    return SpectralField(params.cutoff, _step_batch(field.coeffs, params, drv))
 
 
 def enstrophy(coeffs: np.ndarray) -> np.ndarray:
@@ -189,12 +189,6 @@ def kinetic_energy(coeffs: np.ndarray) -> np.ndarray:
     cutoff = coeffs.shape[-1] // 2
     inv = _inverse_norm_sq(cutoff)
     return np.sum(np.abs(coeffs) ** 2 * inv, axis=(-2, -1)).real / (4.0 * np.pi ** 2)
-
-
-def drift_orthogonality(coeffs: np.ndarray, cutoff: int, drift_fn: Optional[DriftFn] = None) -> np.ndarray:
-    """<b_N(w), w>: vanishes identically for the Euler drift."""
-    b = drift_fn(coeffs) if drift_fn is not None else _drift_dealiased(coeffs, cutoff)
-    return np.sum(b * np.conj(coeffs), axis=(-2, -1)).real
 
 
 @dataclass
@@ -220,18 +214,14 @@ class Trajectory:
         return self.states[-1]
 
 
-def _evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[DriftFn],
+def _evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift],
             record_stride: int, sign: float) -> Trajectory:
-    base_fn = drift_fn
-    if base_fn is None:
-        base_fn = SpectralDrift(params.cutoff)
-    if sign > 0:
-        fn: DriftFn = base_fn
-    elif isinstance(base_fn, SpectralDrift) and base_fn.shift is None:
-        fn = SpectralDrift(params.cutoff, sign=-base_fn.sign, workers=base_fn.workers)
-    else:
-        fn = lambda c: -base_fn(c)
+    if field.cutoff != params.cutoff:
+        raise ValueError("field cutoff does not match flow parameters")
+    base = _resolve_drift(drift_fn, params.cutoff)
+    drv = base if sign > 0 else SpectralDrift(params.cutoff, shift=base.shift, sign=-base.sign)
     coeffs = field.coeffs
+    state = drv.pad(coeffs)
     n = params.n_steps
     states = [field]
     times = [0.0]
@@ -242,10 +232,13 @@ def _evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[DriftFn
     for k in range(n + 1):
         ens[k] = enstrophy(coeffs)
         ener[k] = kinetic_energy(coeffs)
-        orth[k] = drift_orthogonality(coeffs, params.cutoff, base_fn)
+        k1 = drv.padded_drift(state)
+        # <b_N(w), w> of the given drift: negation commutes with the rounded sum
+        orth[k] = sign * np.sum(drv.unpad(k1) * np.conj(coeffs), axis=(-2, -1)).real
         if k == n:
             break
-        coeffs = _step_batch(coeffs, params, fn)
+        state = _advance(state, k1, params, drv, coeffs)
+        coeffs = drv.unpad(state)
         if (k + 1) % record_stride == 0 or k + 1 == n:
             states.append(SpectralField(params.cutoff, coeffs))
             times.append((k + 1) * params.dt)
@@ -262,19 +255,15 @@ def _evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[DriftFn
     )
 
 
-def evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[DriftFn] = None,
+def evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift] = None,
            record_stride: int = 1) -> Trajectory:
     """Integrate forward over [0, t_end], recording diagnostics every step."""
-    if field.cutoff != params.cutoff:
-        raise ValueError("field cutoff does not match flow parameters")
     return _evolve(field, params, drift_fn, record_stride, sign=+1.0)
 
 
-def evolve_backward(field: SpectralField, params: FlowParams, drift_fn: Optional[DriftFn] = None,
+def evolve_backward(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift] = None,
                     record_stride: int = 1) -> Trajectory:
-    """Integrate the time-reversed dynamics dw/dt = -b_N(w) over [0, t_end]."""
-    if field.cutoff != params.cutoff:
-        raise ValueError("field cutoff does not match flow parameters")
+    """Integrate the time-reversed dynamics dw/dt = -b(w) with b = `drift_fn` over [0, t_end]."""
     return _evolve(field, params, drift_fn, record_stride, sign=-1.0)
 
 
@@ -315,7 +304,7 @@ def coeffs_to_coords(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 def divergence_check(field: SpectralField, cutoff: int, h: float,
-                     vector_field: Optional[DriftFn] = None,
+                     vector_field: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                      with_scale: bool = False):
     """Central finite-difference divergence of the drift in real coordinates.
 
@@ -331,7 +320,7 @@ def divergence_check(field: SpectralField, cutoff: int, h: float,
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     base = project(field, cutoff).coeffs
-    fn = vector_field if vector_field is not None else (lambda c: _drift_dealiased(c, cutoff))
+    fn = vector_field if vector_field is not None else SpectralDrift(cutoff)
     coords = coeffs_to_coords(base, cutoff)
     dim = coords.shape[-1]
     plus = np.repeat(coords[None, :], dim, axis=0)

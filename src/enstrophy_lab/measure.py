@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import SpectralDrift
 from .fields import SpectralField, half_lattice_mask, project, real_part, sobolev_norm
-from .flow import FlowParams, StepFailure, _advance, _run_padded, _step_batch
+from .flow import FlowParams, StepFailure, _advance, _resolve_drift, _run_padded
 
 
 @dataclass(frozen=True)
@@ -303,13 +303,15 @@ class PushforwardError(Exception):
 
 
 def pushforward(ensemble: Ensemble, params: FlowParams,
-                drift_fn=None, workers: int | None = None,
+                drift_fn: Optional[SpectralDrift] = None,
                 chunk_size: int = 256) -> Ensemble:
     """Move member fields with the flow over [t, t + t_end]; weights unchanged.
 
     Weights transported along trajectories are exactly the time-t density at
-    the member's current position, so they are reused bitwise.  Members are
-    integrated in chunks of `chunk_size`, each padded once.  Trajectories
+    the member's current position, so they are reused bitwise.  The drift
+    is `drift_fn` (the Euler drift when None), a `SpectralDrift` at the
+    flow's cutoff.  Members are integrated in chunks of `chunk_size`, each
+    padded once and stepped in the padded transform layout.  Trajectories
     never interact, so rk4 results do not depend on the partition; the
     implicit midpoint rule does, in the last bits (about 1e-12), because it
     scales its tolerance by the chunk's largest norm and sweeps until the
@@ -317,25 +319,18 @@ def pushforward(ensemble: Ensemble, params: FlowParams,
     """
     if params.cutoff != ensemble.spec.cutoff:
         raise ValueError("flow cutoff does not match ensemble cutoff")
-    if drift_fn is None:
-        drift_fn = SpectralDrift(params.cutoff, workers=workers)
+    drv = _resolve_drift(drift_fn, params.cutoff)
     coeffs = np.array(ensemble.coeffs)
     m = coeffs.shape[0]
     for start in range(0, m, chunk_size):
         sl = slice(start, min(start + chunk_size, m))
-        block = coeffs[sl]
         try:
-            if isinstance(drift_fn, SpectralDrift):
-                block = _run_padded(block, params, drift_fn, params.n_steps)
-            else:
-                for _ in range(params.n_steps):
-                    block = _step_batch(block, params, drift_fn, workers)
+            coeffs[sl] = _run_padded(coeffs[sl], params, drv, params.n_steps)
         except StepFailure as exc:
             mask = exc.member_mask
             failed = np.nonzero(mask)[0] if mask is not None else []
             ids = [int(ensemble.stream_ids[start + int(i)]) for i in failed]
             raise PushforwardError(f"{exc} (members {ids})", ids) from exc
-        coeffs[sl] = block
     return Ensemble(
         spec=ensemble.spec,
         coeffs=coeffs,
@@ -355,7 +350,7 @@ class WeakFormResult:
 
 
 def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
-                       drift_fn=None, workers: int | None = None,
+                       drift_fn: Optional[SpectralDrift] = None,
                        chunk_size: int = 256) -> WeakFormResult:
     """Monte Carlo plus trapezoidal estimate of the transport-equation defect.
 
@@ -366,23 +361,19 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
     lattice; the time quadrature contributes an O(dt^2) bias on top of the
     Monte Carlo error.
 
-    A `SpectralDrift` chunk is padded once and stepped in the padded
-    transform layout, like `pushforward`; any other drift callable steps in
-    the lattice layout.  Either way the drift b_N(w_k) of the pairing term
-    is the k1 of the step from t_k, so an rk4 step costs four drift
-    evaluations and only the horizon adds one.
+    The drift is a `SpectralDrift` at the flow's cutoff, as in
+    `pushforward`; each chunk is padded once and stepped in the padded
+    transform layout.  The drift b_N(w_k) of the pairing term is the k1 of
+    the step from t_k, so an rk4 step costs four drift evaluations and only
+    the horizon adds one.
     """
     n = params.cutoff
+    drv = _resolve_drift(drift_fn, n)
     if abs(functional.horizon - params.t_end) > 1e-12 * max(1.0, params.t_end):
         raise ValueError("functional horizon differs from integration horizon")
     for j, phi in enumerate(functional.phis):
         if sobolev_norm_diff(phi, n) > 1e-12 * max(1.0, sobolev_norm(phi, 0.0)):
             raise ValueError(f"test field {j} is not supported inside the cutoff lattice")
-    if drift_fn is None:
-        drift_fn = SpectralDrift(n, workers=workers)
-    padded = isinstance(drift_fn, SpectralDrift)
-    fn = drift_fn.padded_drift if padded else drift_fn
-    unpad = drift_fn.unpad if padded else (lambda a: a)
     m = len(ensemble)
     totals = np.zeros(m)
     steps = params.n_steps
@@ -390,23 +381,23 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
     bounds = functional.empirical_bounds(pair_all0)
     for start in range(0, m, chunk_size):
         sl = slice(start, min(start + chunk_size, m))
-        state = drift_fn.pad(ensemble.coeffs[sl]) if padded else np.array(ensemble.coeffs[sl])
+        state = drv.pad(ensemble.coeffs[sl])
         block = np.zeros(state.shape[0])
         pair0 = pair_all0[sl]
         for k in range(steps + 1):
             t = k * params.dt
-            coeffs = unpad(state)
+            coeffs = drv.unpad(state)
             pair = pair0 if k == 0 else pairings_batch(coeffs, n, functional.phis)
             integrand = functional.dt_value(t, pair)
             # the step's k1 is the drift b(w_k) that the pairing needs
-            k1 = fn(state) if k < steps or functional.n_pairings else None
+            k1 = drv.padded_drift(state) if k < steps or functional.n_pairings else None
             if functional.n_pairings:
-                drift_pairs = pairings_batch(unpad(k1), n, functional.phis)
+                drift_pairs = pairings_batch(drv.unpad(k1), n, functional.phis)
                 integrand = integrand + np.sum(functional.pairing_gradient(t, pair) * drift_pairs, axis=-1)
             tw = params.dt * (0.5 if k in (0, steps) else 1.0)
             block += tw * integrand
             if k < steps:
-                state = _advance(state, k1, params, fn, coeffs)
+                state = _advance(state, k1, params, drv, coeffs)
         totals[sl] = block + functional.value(0.0, pair0)
     residual, se = _mean_se(ensemble.weights * totals)
     return WeakFormResult(residual=residual, std_error=se, n_samples=m, dt=params.dt, bounds=bounds)

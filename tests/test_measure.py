@@ -380,17 +380,17 @@ class TestTransportBytes:
         res = weak_form_residual(e, _cylinder(0.05), p, drift_fn=_transport_drift(kind), chunk_size=32)
         assert _weak_form_digest(res) == WEAK_FORM_DIGESTS[(integrator, kind)]
 
-    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
-    @pytest.mark.parametrize("functional", ["cylinder", "time_only"])
-    def test_weak_form_routes_agree_bitwise(self, integrator, functional):
-        # the padded SpectralDrift route and the generic-callable route
-        # must give the same bytes
-        drv = SpectralDrift(4, shift=TRANSPORT_SHIFT, sign=-1.0)
-        e = init_ensemble(TRANSPORT_SPEC, GaussianTilt(PHI), 40)
-        func = _cylinder(0.05)
-        if functional == "time_only":
-            func = CylinderFunctional.time_only(*ramp_down(0.05), 0.05)
-        p = FlowParams(cutoff=4, dt=1e-2, t_end=0.05, integrator=integrator)
-        fast = weak_form_residual(e, func, p, drift_fn=drv, chunk_size=16)
-        generic = weak_form_residual(e, func, p, drift_fn=lambda c: drv(c), chunk_size=16)
-        assert _weak_form_digest(fast) == _weak_form_digest(generic)
+    @pytest.mark.parametrize("entry", ["pushforward", "weak_form_residual"])
+    def test_mismatched_drift_rejected_up_front(self, entry):
+        e = init_ensemble(TRANSPORT_SPEC, GaussianTilt(PHI), 8)
+        p = FlowParams(cutoff=4, dt=1e-2, t_end=0.05, integrator="rk4")
+
+        def run(drv):
+            if entry == "pushforward":
+                return pushforward(e, p, drift_fn=drv)
+            return weak_form_residual(e, _cylinder(0.05), p, drift_fn=drv)
+
+        with pytest.raises(ValueError, match="drift cutoff 6 does not match flow cutoff 4"):
+            run(SpectralDrift(6))
+        with pytest.raises(TypeError, match="drift_fn must be a SpectralDrift"):
+            run(lambda c: SpectralDrift(4)(c))
