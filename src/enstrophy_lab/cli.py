@@ -10,11 +10,11 @@ failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
 import sys
+import time
 
 from . import __version__
 from .dynamics import env_workers
@@ -247,12 +247,12 @@ def _sha256_file(path: str) -> str:
 
 
 def run(config_path: str, out_dir: str | None = None, seed_override: int | None = None) -> int:
-    """Validate every entry, then execute the batteries and write reports, summary, manifest."""
+    """Validate every entry, run the batteries in config order, write reports, summary, manifest."""
     try:
         cfg = load_config(config_path)
         if seed_override is not None:
             _typed(seed_override, int, "--seed-override", lo=0)
-        workers = env_workers() or 1
+        env_workers()  # a bad FFT thread cap is a config error before any battery runs
         seed = seed_override if seed_override is not None else cfg.get("seed", 0)
         tests = cfg.get("tests", [])
         jobs = [_prepare(i, entry, seed) for i, entry in enumerate(tests)]
@@ -262,19 +262,16 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
     out = out_dir or cfg.get("out_dir", "reports")
     os.makedirs(out, exist_ok=True)
 
-    def execute(i):
+    reports = []
+    for entry, job in zip(tests, jobs):
+        t0 = time.perf_counter()
         try:
-            return jobs[i]()
+            rep = job()
         except Exception as exc:  # battery blew up: failed report, artifacts preserved
-            params = tests[i].get("params", {})
-            return TestReport(name=tests[i]["name"], params=params, seed=seed, passed=False,
-                              summary={}, notes=[f"battery raised: {exc!r}"])
-
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(execute, range(len(jobs))))
-    else:
-        reports = [execute(i) for i in range(len(jobs))]
+            rep = TestReport(name=entry["name"], params=entry.get("params", {}), seed=seed,
+                             passed=False, summary={}, notes=[f"battery raised: {exc!r}"])
+        rep.runtime_seconds = time.perf_counter() - t0
+        reports.append(rep)
     # report names come from the batteries; check them before writing any
     writers: dict[str, int] = {}
     for i, rep in enumerate(reports):

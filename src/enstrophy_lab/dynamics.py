@@ -28,6 +28,7 @@ ensembles evolve vectorized; all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -58,7 +59,7 @@ _TWO_PI_I = 2j * np.pi
 
 
 def env_workers() -> int | None:
-    """ENSTROPHY_LAB_WORKERS as an integer >= 1, or None when unset or empty."""
+    """ENSTROPHY_LAB_WORKERS, the FFT thread cap, as an integer >= 1; None when unset or empty."""
     raw = os.environ.get("ENSTROPHY_LAB_WORKERS", "")
     if not raw:
         return None
@@ -158,9 +159,15 @@ def _drift_multipliers(cutoff: int):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _euler_drift(cutoff: int) -> SpectralDrift:
+    """One shared Euler drift per cutoff, so `drift()` builds its tables once."""
+    return SpectralDrift(cutoff)
+
+
 def _drift_dealiased(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
     """Batched pseudo-spectral drift on (..., 2N+1, 2N+1) tables."""
-    return SpectralDrift(cutoff)(coeffs)
+    return _euler_drift(cutoff)(coeffs)
 
 
 def _drift_direct(coeffs: np.ndarray, cutoff: int) -> np.ndarray:

@@ -247,24 +247,24 @@ def extract_layout(layout: np.ndarray, cutoff: int) -> np.ndarray:
     return layout[..., idx[:, None], idx[None, :]]
 
 
-def coeffs_to_grid(coeffs: np.ndarray, size: int, workers: int | None = None) -> np.ndarray:
+def coeffs_to_grid(coeffs: np.ndarray, size: int) -> np.ndarray:
     """Array-level synthesis of (..., 2N+1, 2N+1) coefficients on a size^2 grid.
 
     Returns real values (imag part discarded after a hard check).
     """
     layout = embed_layout(coeffs, size)
-    vals = scipy.fft.ifft2(layout, axes=(-2, -1), workers=workers) * (size * size)
+    vals = scipy.fft.ifft2(layout, axes=(-2, -1)) * (size * size)
     return real_part(vals, "grid synthesis")
 
 
-def grid_to_coeffs(values: np.ndarray, cutoff: int, workers: int | None = None) -> np.ndarray:
+def grid_to_coeffs(values: np.ndarray, cutoff: int) -> np.ndarray:
     """Array-level analysis of grid samples into (..., 2N+1, 2N+1) coefficients."""
     size = values.shape[-1]
     if size < 2 * cutoff + 1:
         raise ValueError(
             f"grid of size {size} aliases modes at cutoff {cutoff}; need size >= {2 * cutoff + 1}"
         )
-    spec = scipy.fft.fft2(np.asarray(values, dtype=float), axes=(-2, -1), workers=workers)
+    spec = scipy.fft.fft2(np.asarray(values, dtype=float), axes=(-2, -1))
     spec /= size * size
     return extract_layout(spec, cutoff)
 

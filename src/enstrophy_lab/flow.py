@@ -129,24 +129,22 @@ def _midpoint_from(base: np.ndarray, k1: np.ndarray, dt: float, drv: SpectralDri
     raise _midpoint_failure(inc, tol_abs, dt, max_iter)
 
 
-def _advance(state: np.ndarray, k1: np.ndarray, params: FlowParams, drv: SpectralDrift,
-             scale_from: np.ndarray) -> np.ndarray:
+def _advance(state: np.ndarray, k1: np.ndarray, params: FlowParams, drv: SpectralDrift) -> np.ndarray:
     """One step of the configured scheme from padded `state`, given k1 = drv.padded_drift(state).
 
-    `scale_from` holds the same tables, padded or not; its largest norm
-    scales the midpoint tolerance.
+    The largest norm of `state` scales the midpoint tolerance.
     """
     if params.integrator == "rk4":
         return _rk4_from(state, k1, params.dt, drv)
-    scale = max(1.0, _batch_norm(scale_from))
+    scale = max(1.0, _batch_norm(state))
     return _midpoint_from(state, k1, params.dt, drv, params.midpoint_tol * scale,
                           params.midpoint_max_iter)
 
 
 def _step_batch(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift) -> np.ndarray:
-    """One step of lattice tables; the lattice norm scales the midpoint tolerance."""
+    """One step of lattice tables through `_advance`."""
     state = drv.pad(coeffs)
-    return drv.unpad(_advance(state, drv.padded_drift(state), params, drv, coeffs))
+    return drv.unpad(_advance(state, drv.padded_drift(state), params, drv))
 
 
 def _step_rk4(coeffs: np.ndarray, dt: float, drv: SpectralDrift) -> np.ndarray:
@@ -164,10 +162,10 @@ def _step_midpoint(coeffs: np.ndarray, dt: float, drv: SpectralDrift, tol: float
 
 def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
                 n_steps: int) -> np.ndarray:
-    """Integrate n_steps from lattice tables, padded once; the padded norm scales the tolerance."""
+    """Integrate n_steps from lattice tables, padded once."""
     state = drv.pad(coeffs)
     for _ in range(n_steps):
-        state = _advance(state, drv.padded_drift(state), params, drv, state)
+        state = _advance(state, drv.padded_drift(state), params, drv)
     return drv.unpad(state)
 
 
@@ -237,7 +235,7 @@ def _evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[Spectra
         orth[k] = sign * np.sum(drv.unpad(k1) * np.conj(coeffs), axis=(-2, -1)).real
         if k == n:
             break
-        state = _advance(state, k1, params, drv, coeffs)
+        state = _advance(state, k1, params, drv)
         coeffs = drv.unpad(state)
         if (k + 1) % record_stride == 0 or k + 1 == n:
             states.append(SpectralField(params.cutoff, coeffs))

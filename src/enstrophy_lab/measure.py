@@ -397,7 +397,7 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
             tw = params.dt * (0.5 if k in (0, steps) else 1.0)
             block += tw * integrand
             if k < steps:
-                state = _advance(state, k1, params, drv, coeffs)
+                state = _advance(state, k1, params, drv)
         totals[sl] = block + functional.value(0.0, pair0)
     residual, se = _mean_se(ensemble.weights * totals)
     return WeakFormResult(residual=residual, std_error=se, n_samples=m, dt=params.dt, bounds=bounds)

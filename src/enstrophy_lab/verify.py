@@ -5,8 +5,9 @@ Monte Carlo estimates with standard errors from the same run, compares
 them against exact spectral predictions, and returns a `TestReport`.
 Reports serialize deterministically: a report is a pure function of
 (name, parameters, seed) for a fixed binary, so re-runs are byte
-identical.  Wall-clock runtime is kept on the report object for console
-display but never written into artifacts.
+identical.  `cli.run` times each battery and sets the report's
+wall-clock runtime, which is printed on the console but never written
+into artifacts.
 
 Assertion conventions: Monte Carlo checks use 3-standard-error bands
 computed from the run itself; exact-arithmetic identities use the 1e-12 /
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Sequence
 
@@ -299,7 +299,6 @@ def wick_mean_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
     """Gaussian mean identity: MC mean of the pairing equals the mode trace."""
     if count < 10 ** 3:
         raise ValueError("mean test needs at least 1000 samples")
-    t0 = time.perf_counter()
     if spec.cutoff != kernel.cutoff:
         raise ValueError("kernel and measure cutoffs differ")
     batch = sample_batch(spec, range(count))
@@ -316,14 +315,12 @@ def wick_mean_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
                  "abs_error_in_se": abs(mean - trace) / se if se > 0 else 0.0},
         table=[{"quantity": "pairing_mean", "estimate": mean, "std_error": se,
                 "target": trace, "n_samples": count}],
-        runtime_seconds=time.perf_counter() - t0,
     )
 
 
 def wick_variance_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
                        name: str = "wick_variance") -> TestReport:
     """Gaussian variance identity for symmetric kernels: Var = 2 sum |A|^2."""
-    t0 = time.perf_counter()
     if spec.cutoff != kernel.cutoff:
         raise ValueError("kernel and measure cutoffs differ")
     batch = sample_batch(spec, range(count))
@@ -344,7 +341,6 @@ def wick_variance_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
                  "rel_error": rel},
         table=[{"quantity": "pairing_variance", "estimate": var, "std_error": se_var,
                 "target": pred, "n_samples": count}],
-        runtime_seconds=time.perf_counter() - t0,
     )
 
 
@@ -360,7 +356,6 @@ def moment_bound_test(kernel: QuadraticForm, p: int, spec: MeasureSpec, count: i
         raise ValueError("moment order restricted to 2..6 (noise grows too fast above)")
     if sup_norm > 1.0 + 1e-12:
         raise ValueError("kernel must be normalized to sup norm at most 1")
-    t0 = time.perf_counter()
     batch = sample_batch(spec, range(count))
     q = np.abs(quadratic_pairing_batch(batch, spec.cutoff, kernel)) ** p
     est, se = _mean_se(q)
@@ -375,7 +370,6 @@ def moment_bound_test(kernel: QuadraticForm, p: int, spec: MeasureSpec, count: i
                  "margin": bound - est - 3.0 * se},
         table=[{"quantity": f"abs_moment_p{p}", "estimate": est, "std_error": se,
                 "target": bound, "n_samples": count}],
-        runtime_seconds=time.perf_counter() - t0,
     )
 
 
@@ -424,7 +418,6 @@ def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[floa
     partial sums converge at eps = 0.4 and diverge at 0.6 with tail ratio
     approaching 2*eps.
     """
-    t0 = time.perf_counter()
     n_list = sorted(n_list)
     n_ref = max(n_list)
     base = replace(spec, cutoff=n_ref)
@@ -496,7 +489,6 @@ def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[floa
                        "std_error": 0.0, "asserted": True, "n_samples": 0}
                       for r in series_rows],
         notes=notes,
-        runtime_seconds=time.perf_counter() - t0,
     )
 
 
@@ -510,7 +502,6 @@ def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
     decrease and agree with 2 * sum of |A|^2 over the index increment
     within 10 percent.
     """
-    t0 = time.perf_counter()
     n_list = sorted(n_list)
     if n_ref < max(n_list):
         raise ValueError("reference cutoff must dominate the cutoff list")
@@ -562,7 +553,6 @@ def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
                  ))},
         table=rows,
         notes=notes,
-        runtime_seconds=time.perf_counter() - t0,
     )
 
 
@@ -587,7 +577,6 @@ def invariance_test(spec: MeasureSpec, params: FlowParams,
     mean moves and the test must reject (p below 1e-3), which is the
     negative control.
     """
-    t0 = time.perf_counter()
     ensemble = init_ensemble(spec, UniformDensity(), count)
     drift_fn = None
     if drift_shift is not None:
@@ -626,7 +615,6 @@ def invariance_test(spec: MeasureSpec, params: FlowParams,
         summary={"min_p_value": min(pvals), "max_p_value": max(pvals),
                  "expect_fail": expect_fail},
         table=rows,
-        runtime_seconds=time.perf_counter() - t0,
     )
 
 
@@ -640,7 +628,6 @@ def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int 
     matrices; smallness of the double trace integral with reported error
     bars, against the exactly vanishing spectral trace.
     """
-    t0 = time.perf_counter()
     if size < 4 * max(n_list) + 4:
         raise ValueError("quadrature size must be at least 4*max(N)+4")
     ke = KernelEval(phi, k_max=k_max)
@@ -688,7 +675,6 @@ def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int 
                  "max_sym_integral": max(r["sym_integral_max"] for r in rows),
                  "max_abs_trace": max(abs(r["trace_value"]) for r in rows)},
         table=rows,
-        runtime_seconds=time.perf_counter() - t0,
     )
 
 
@@ -703,7 +689,6 @@ def transport_battery(spec: MeasureSpec, params: FlowParams, tilt_phi: SpectralF
     combined Monte Carlo bands; the entropy sum of the weights matches the
     closed-form tilt entropy and is bitwise unchanged by the flow.
     """
-    t0 = time.perf_counter()
     density = GaussianTilt(tilt_phi)
     ensemble = init_ensemble(spec, density, count)
     horizon = params.t_end
@@ -762,5 +747,4 @@ def transport_battery(spec: MeasureSpec, params: FlowParams, tilt_phi: SpectralF
              "target": target, "n_samples": count},
         ],
         notes=[f"observable bounds over the ensemble: {res.bounds}"],
-        runtime_seconds=time.perf_counter() - t0,
     )

@@ -3,14 +3,18 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 import enstrophy_lab
 from enstrophy_lab.cli import BATTERY_BUILDERS, ConfigError, load_config, main, run
 from enstrophy_lab.dynamics import env_workers, fft_workers
+from enstrophy_lab.verify import TestReport
 
 
 def write_cfg(path, payload):
@@ -175,18 +179,20 @@ class TestRun:
         assert a["summary"]["mc_mean"] != b["summary"]["mc_mean"]
         assert b["seed"] == 99
 
-    def test_battery_threads_do_not_change_bytes(self, tmp_path):
-        # batteries at two cutoffs share the sampler's layout cache across
-        # the battery thread pool; worker count must not change any byte
+    def test_fft_threads_do_not_change_bytes(self, tmp_path):
+        # both batteries step through padded_drift, whose transforms take
+        # ENSTROPHY_LAB_WORKERS threads; the thread count must not change any byte
         cfg = write_cfg(tmp_path / "c.json", {
             "seed": 11,
             "tests": [
-                {"name": "wick_mean", "params": {"N": 3, "M": 3000, "kernel": "rank_one", "phi": "cos_x1"}},
-                {"name": "moment_bound", "params": {"N": 5, "M": 3000, "p": 2}},
+                {"name": "invariance", "params": {"N": 4, "M": 200, "T": 0.05, "dt": 0.01,
+                                                  "observables": ["cos_x1"]}},
+                {"name": "transport", "params": {"N": 4, "M": 100, "T": 0.04, "dt": 0.01,
+                                                 "integrator": "rk4"}},
             ],
         })
         src = os.path.dirname(os.path.dirname(enstrophy_lab.__file__))
-        digests = {}
+        codes, manifests = {}, {}
         for workers in ("2", "1"):
             env = dict(os.environ, ENSTROPHY_LAB_WORKERS=workers,
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -194,10 +200,51 @@ class TestRun:
             proc = subprocess.run([sys.executable, "-m", "enstrophy_lab.cli", "run", cfg,
                                    "--out-dir", str(out)],
                                   env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            digests[workers] = json.loads((out / "manifest.json").read_text())["files"]
-        assert digests["2"] == digests["1"]
-        assert len(digests["1"]) == 5  # two reports, two tables, summary
+            assert proc.returncode in (0, 1), proc.stderr
+            codes[workers] = proc.returncode
+            manifests[workers] = (out / "manifest.json").read_bytes()
+        assert codes["2"] == codes["1"]
+        assert manifests["2"] == manifests["1"]
+        assert len(json.loads(manifests["1"])["files"]) == 5  # two reports, two tables, summary
+
+    def test_batteries_run_in_config_order_on_calling_thread(self, tmp_path, monkeypatch):
+        # ENSTROPHY_LAB_WORKERS caps FFT threads only; it starts no battery threads
+        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "2")
+        calls = []
+
+        def recording(name):
+            def build(p, seed):
+                k = p.get("k", int, 0)
+
+                def job():
+                    calls.append((k, threading.get_ident()))
+                    return TestReport(name=f"{name}_{k}", params={"k": k}, seed=seed,
+                                      passed=True, summary={})
+                return job
+            return build
+
+        for name in ("wick_mean", "cauchy"):
+            monkeypatch.setitem(BATTERY_BUILDERS, name, recording(name))
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 1, "tests": [
+            {"name": ("wick_mean", "cauchy")[k % 2], "params": {"k": k}} for k in range(6)]})
+        assert run(cfg, out_dir=str(tmp_path / "out")) == 0
+        assert [k for k, _ in calls] == list(range(6))
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+
+    def test_raising_battery_prints_its_runtime(self, tmp_path, capsys, monkeypatch):
+        # the runtime is measured around the battery, so one that raises
+        # reports the time it took instead of 0.0s
+        def slow_failure():
+            time.sleep(0.25)
+            raise RuntimeError("late failure")
+
+        monkeypatch.setitem(BATTERY_BUILDERS, "wick_mean", lambda p, seed: slow_failure)
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 1, "tests": [{"name": "wick_mean"}]})
+        assert run(cfg, out_dir=str(tmp_path / "out")) == 1
+        line = capsys.readouterr().out.strip()
+        match = re.fullmatch(r"\[FAIL\] wick_mean  \((\d+\.\d)s\)", line)
+        assert match, line
+        assert float(match.group(1)) >= 0.2
 
     def test_battery_failure_exits_one_and_preserves_artifacts(self, tmp_path):
         # a negative control without an actual drift shift must fail

@@ -11,6 +11,7 @@ from enstrophy_lab.dynamics import (
     DenseForm,
     InvariantViolation,
     SpectralDrift,
+    _euler_drift,
     biot_savart,
     curl,
     dealias_grid_size,
@@ -142,6 +143,23 @@ class TestDrift:
         w = white_field(5, rng)
         drv = SpectralDrift(5)
         assert np.array_equal(drv(w.coeffs), drift(w, 5, "dealiased").coeffs)
+
+    def test_drift_builds_one_euler_drift_per_cutoff(self, rng, monkeypatch):
+        w = white_field(6, rng)
+        expected = SpectralDrift(6)(w.coeffs).tobytes()
+        _euler_drift.cache_clear()
+        built = []
+        init = SpectralDrift.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralDrift, "__init__", counting_init)
+        first = drift(w, 6)
+        second = drift(w, 6)
+        assert built == [(6,)]
+        assert first.coeffs.tobytes() == expected and second.coeffs.tobytes() == expected
 
     def test_shift_and_sign(self, rng):
         w = white_field(3, rng)
