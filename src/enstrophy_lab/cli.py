@@ -82,6 +82,12 @@ class _Params:
             _typed(v, typ, f"{self.path}.{key}[{j}]", lo)
         return vals
 
+    def cutoffs(self, default: list) -> list:
+        n_list = self.get_list("N_list", int, default, lo=1)
+        if len(set(n_list)) < len(n_list):  # a repeat pairs a cutoff with itself or writes it twice
+            raise ConfigError(f"{self.path}.N_list", f"repeats a cutoff: {n_list}")
+        return n_list
+
     def field(self, key: str, default: str):
         return _named_field(self.get(key, str, default), f"{self.path}.{key}")
 
@@ -135,7 +141,7 @@ def _build_moment_bound(p: _Params, seed: int):
 
 def _build_exp_integrability(p: _Params, seed: int):
     count = p.get("M", int, 5000, lo=2)
-    n_list = p.get_list("N_list", int, [4, 8, 16], lo=1)
+    n_list = p.cutoffs([4, 8, 16])
     eps_list = p.get_list("eps_list", float, [0.1, 0.25, 0.4, 0.5])
     kind = p.get("kernel", str, "exchange")
     if kind not in ("exchange", "drift"):
@@ -146,7 +152,7 @@ def _build_exp_integrability(p: _Params, seed: int):
 
 
 def _build_cauchy(p: _Params, seed: int):
-    n_list = p.get_list("N_list", int, [4, 8, 16, 32], lo=1)
+    n_list = p.cutoffs([4, 8, 16, 32])
     if len(n_list) < 2:
         raise ConfigError(f"{p.path}.N_list", "needs at least two cutoffs")
     n_ref = p.get("N_ref", int, max(n_list), lo=max(n_list))
@@ -167,7 +173,7 @@ def _build_invariance(p: _Params, seed: int, expect_fail: bool = False):
 
 
 def _build_dirichlet(p: _Params, seed: int):
-    n_list = p.get_list("N_list", int, [2, 4, 8], lo=1)
+    n_list = p.cutoffs([2, 4, 8])
     size = p.get("G", int, max(64, 4 * max(n_list) + 4), lo=4 * max(n_list) + 4)
     if size % 2:
         raise ConfigError(f"{p.path}.G", f"must be even, got {size}")
@@ -180,6 +186,8 @@ def _build_transport(p: _Params, seed: int):
     n = p.get("N", int, 6, lo=1)
     count = p.get("M", int, 2000, lo=2)
     flow = p.flow(n, default_T=0.5, default_dt=1e-2, default_integrator="rk4")
+    if flow.t_end == 0:
+        raise ConfigError(f"{p.path}.T", "must be positive: the weak form's time factor ramps to 0 over T")
     tilt = p.field("tilt_phi", "cos_x1")
     obs = p.field("obs_phi", "cos_x1")
     return lambda: transport_battery(MeasureSpec(cutoff=n, seed=seed), flow, tilt, obs, count)

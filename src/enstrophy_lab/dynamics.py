@@ -43,13 +43,13 @@ from .fields import (
     HARD_TOL,
     InvariantViolation,
     SpectralField,
+    _mode_exponentials,
     _nonuniform_sum,
     embed_layout,
     evaluate_at,
     extract_layout,
     gradient_at,
     mode_grids,
-    mode_range,
     project,
     project_coeffs,
     real_part,
@@ -408,10 +408,8 @@ class KernelEval:
         object.__setattr__(self, "_k2", (-n1 * inv) / _TWO_PI_I)
 
     def _kernel_sum(self, z: np.ndarray, k_cut: int) -> np.ndarray:
-        pts = np.asarray(z, dtype=float).reshape(-1, 2)
-        n = mode_range(self.k_max)
-        e1 = np.exp(_TWO_PI_I * np.outer(pts[:, 0], n))
-        e2 = np.exp(_TWO_PI_I * np.outer(pts[:, 1], n))
+        z = np.asarray(z, dtype=float)
+        e1, e2 = _mode_exponentials(z, self.k_max)
         if k_cut >= self.k_max:
             c1, c2 = self._k1, self._k2
         else:
@@ -420,8 +418,7 @@ class KernelEval:
             c1, c2 = self._k1 * mask, self._k2 * mask
         k1 = _nonuniform_sum(c1, e1, e2).real
         k2 = _nonuniform_sum(c2, e1, e2).real
-        out = np.stack([k1, k2], axis=-1)
-        return out.reshape(np.asarray(z, dtype=float).shape)
+        return np.stack([k1, k2], axis=-1).reshape(z.shape)
 
     def kernel_at(self, z: np.ndarray) -> np.ndarray:
         """Truncated Fourier sum of the convolution kernel at displacements z."""
@@ -449,12 +446,9 @@ class KernelEval:
     def hessian_at(self, points: np.ndarray) -> np.ndarray:
         """Second derivative matrix of phi at the points, shape (..., 2, 2)."""
         pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, 2)
-        n = mode_range(self.phi.cutoff)
-        e1 = np.exp(_TWO_PI_I * np.outer(flat[:, 0], n))
-        e2 = np.exp(_TWO_PI_I * np.outer(flat[:, 1], n))
+        e1, e2 = _mode_exponentials(pts, self.phi.cutoff)
         n1, n2 = mode_grids(self.phi.cutoff)
-        out = np.empty((flat.shape[0], 2, 2))
+        out = np.empty((e1.shape[0], 2, 2))
         for a, na in ((0, n1), (1, n2)):
             for b, nb in ((0, n1), (1, n2)):
                 c = (_TWO_PI_I * na) * (_TWO_PI_I * nb) * self.phi.coeffs

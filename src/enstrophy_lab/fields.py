@@ -286,13 +286,17 @@ def _nonuniform_sum(coeffs: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.nd
     return np.sum((e1 @ coeffs) * e2, axis=1)
 
 
+def _mode_exponentials(points: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(2 pi i x_a n) for n = -N..N at the points (..., 2), one (P, 2N+1) table per axis."""
+    flat = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = mode_range(cutoff)
+    return np.exp(_TWO_PI_I * np.outer(flat[:, 0], n)), np.exp(_TWO_PI_I * np.outer(flat[:, 1], n))
+
+
 def evaluate_at(field: SpectralField, points: np.ndarray) -> np.ndarray:
     """Evaluate the field at arbitrary torus points, shape (..., 2) -> (...)."""
     pts = np.asarray(points, dtype=float)
-    flat = pts.reshape(-1, 2)
-    n = mode_range(field.cutoff)
-    e1 = np.exp(_TWO_PI_I * np.outer(flat[:, 0], n))
-    e2 = np.exp(_TWO_PI_I * np.outer(flat[:, 1], n))
+    e1, e2 = _mode_exponentials(pts, field.cutoff)
     vals = _nonuniform_sum(field.coeffs, e1, e2)
     return vals.real.reshape(pts.shape[:-1])
 
@@ -300,10 +304,7 @@ def evaluate_at(field: SpectralField, points: np.ndarray) -> np.ndarray:
 def gradient_at(field: SpectralField, points: np.ndarray) -> np.ndarray:
     """Gradient of the field at arbitrary points, shape (..., 2) -> (..., 2)."""
     pts = np.asarray(points, dtype=float)
-    flat = pts.reshape(-1, 2)
-    n = mode_range(field.cutoff)
-    e1 = np.exp(_TWO_PI_I * np.outer(flat[:, 0], n))
-    e2 = np.exp(_TWO_PI_I * np.outer(flat[:, 1], n))
+    e1, e2 = _mode_exponentials(pts, field.cutoff)
     n1, n2 = mode_grids(field.cutoff)
     g1 = _nonuniform_sum(_TWO_PI_I * n1 * field.coeffs, e1, e2)
     g2 = _nonuniform_sum(_TWO_PI_I * n2 * field.coeffs, e1, e2)

@@ -7,10 +7,10 @@ tolerance because the drift is orthogonal to the state.  Non-convergence
 is surfaced as `StepFailure` (no silent time-step adaptation).
 
 The drift is always a `SpectralDrift` (with an optional constant shift and
-a sign), and every step runs in its padded transform layout through
-`_advance`: the drift output is masked to the retained lattice, so stage
-combinations stay inside it and padding once per trajectory is exact.
-`evolve` takes its orthogonality diagnostic from each step's k1.
+a sign).  `_run_padded` is the one stepping loop: it pads once and steps
+in the padded transform layout; the drift output is masked to the retained
+lattice, so this is exact.  Its observer sees each step's state and k1:
+`evolve` records through one, `measure.weak_form_residual` integrates.
 Array cores operate on stacked coefficient tables so that ensembles of
 trajectories integrate vectorized; independent trajectories never
 interact, which keeps results deterministic under any scheduling.
@@ -141,10 +141,28 @@ def _advance(state: np.ndarray, k1: np.ndarray, params: FlowParams, drv: Spectra
                           params.midpoint_max_iter)
 
 
-def _step_batch(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift) -> np.ndarray:
-    """One step of lattice tables through `_advance`."""
+def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
+                n_steps: int, observe: Optional[Callable] = None) -> np.ndarray:
+    """Integrate n_steps from lattice tables, padded once.
+
+    With `observe`, calls observe(k, state, k1) for k = 0..n_steps with the
+    padded state and k1 = drv.padded_drift(state), which the step from it
+    reuses, so only the horizon adds an evaluation; neither may be written.
+    """
     state = drv.pad(coeffs)
-    return drv.unpad(_advance(state, drv.padded_drift(state), params, drv))
+    for k in range(n_steps):
+        k1 = drv.padded_drift(state)
+        if observe is not None:
+            observe(k, state, k1)
+        state = _advance(state, k1, params, drv)
+    if observe is not None:
+        observe(n_steps, state, drv.padded_drift(state))
+    return drv.unpad(state)
+
+
+def _step_batch(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift) -> np.ndarray:
+    """One step of lattice tables."""
+    return _run_padded(coeffs, params, drv, 1)
 
 
 def _step_rk4(coeffs: np.ndarray, dt: float, drv: SpectralDrift) -> np.ndarray:
@@ -158,15 +176,6 @@ def _step_midpoint_fused(coeffs: np.ndarray, dt: float, drv: SpectralDrift,
 
 def _step_midpoint(coeffs: np.ndarray, dt: float, drv: SpectralDrift, tol: float, max_iter: int) -> np.ndarray:
     return _step_midpoint_fused(coeffs, dt, drv, tol, max_iter)
-
-
-def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
-                n_steps: int) -> np.ndarray:
-    """Integrate n_steps from lattice tables, padded once."""
-    state = drv.pad(coeffs)
-    for _ in range(n_steps):
-        state = _advance(state, drv.padded_drift(state), params, drv)
-    return drv.unpad(state)
 
 
 def step(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift] = None) -> SpectralField:
@@ -193,19 +202,11 @@ def kinetic_energy(coeffs: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Sampled states plus per-step conservation diagnostics."""
 
-    params: FlowParams
     times: np.ndarray
     states: list[SpectralField]
-    record_stride: int
-    diag_steps: np.ndarray = dc_field(repr=False, default=None)
-    diag_t: np.ndarray = dc_field(repr=False, default=None)
-    diag_enstrophy: np.ndarray = dc_field(repr=False, default=None)
-    diag_energy: np.ndarray = dc_field(repr=False, default=None)
-    diag_ortho: np.ndarray = dc_field(repr=False, default=None)
-
-    @property
-    def initial(self) -> SpectralField:
-        return self.states[0]
+    diag_enstrophy: np.ndarray = dc_field(repr=False)
+    diag_energy: np.ndarray = dc_field(repr=False)
+    diag_ortho: np.ndarray = dc_field(repr=False)
 
     @property
     def final(self) -> SpectralField:
@@ -218,39 +219,26 @@ def _evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[Spectra
         raise ValueError("field cutoff does not match flow parameters")
     base = _resolve_drift(drift_fn, params.cutoff)
     drv = base if sign > 0 else SpectralDrift(params.cutoff, shift=base.shift, sign=-base.sign)
-    coeffs = field.coeffs
-    state = drv.pad(coeffs)
     n = params.n_steps
     states = [field]
     times = [0.0]
-    steps = np.arange(n + 1)
     ens = np.empty(n + 1)
     ener = np.empty(n + 1)
     orth = np.empty(n + 1)
-    for k in range(n + 1):
+
+    def observe(k, state, k1):
+        coeffs = drv.unpad(state)
         ens[k] = enstrophy(coeffs)
         ener[k] = kinetic_energy(coeffs)
-        k1 = drv.padded_drift(state)
         # <b_N(w), w> of the given drift: negation commutes with the rounded sum
         orth[k] = sign * np.sum(drv.unpad(k1) * np.conj(coeffs), axis=(-2, -1)).real
-        if k == n:
-            break
-        state = _advance(state, k1, params, drv)
-        coeffs = drv.unpad(state)
-        if (k + 1) % record_stride == 0 or k + 1 == n:
+        if k > 0 and (k % record_stride == 0 or k == n):
             states.append(SpectralField(params.cutoff, coeffs))
-            times.append((k + 1) * params.dt)
-    return Trajectory(
-        params=params,
-        times=np.asarray(times),
-        states=states,
-        record_stride=record_stride,
-        diag_steps=steps,
-        diag_t=steps * params.dt,
-        diag_enstrophy=ens,
-        diag_energy=ener,
-        diag_ortho=orth,
-    )
+            times.append(k * params.dt)
+
+    _run_padded(field.coeffs, params, drv, n, observe)
+    return Trajectory(times=np.asarray(times), states=states, diag_enstrophy=ens,
+                      diag_energy=ener, diag_ortho=orth)
 
 
 def evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift] = None,

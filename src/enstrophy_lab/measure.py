@@ -23,13 +23,13 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .dynamics import SpectralDrift
 from .fields import SpectralField, half_lattice_mask, project, real_part, sobolev_norm
-from .flow import FlowParams, StepFailure, _advance, _resolve_drift, _run_padded
+from .flow import FlowParams, StepFailure, _resolve_drift, _run_padded
 
 
 @dataclass(frozen=True)
@@ -302,30 +302,22 @@ class PushforwardError(Exception):
         self.failed_members = failed_members
 
 
-def pushforward(ensemble: Ensemble, params: FlowParams,
-                drift_fn: Optional[SpectralDrift] = None,
-                chunk_size: int = 256) -> Ensemble:
-    """Move member fields with the flow over [t, t + t_end]; weights unchanged.
+def _move(ensemble: Ensemble, params: FlowParams, drv: SpectralDrift, chunk_size: int,
+          observer: Optional[Callable] = None) -> Ensemble:
+    """The ensemble moved over [t, t + t_end] in chunks of `chunk_size` members.
 
-    Weights transported along trajectories are exactly the time-t density at
-    the member's current position, so they are reused bitwise.  The drift
-    is `drift_fn` (the Euler drift when None), a `SpectralDrift` at the
-    flow's cutoff.  Members are integrated in chunks of `chunk_size`, each
-    padded once and stepped in the padded transform layout.  Trajectories
-    never interact, so rk4 results do not depend on the partition; the
-    implicit midpoint rule does, in the last bits (about 1e-12), because it
-    scales its tolerance by the chunk's largest norm and sweeps until the
-    chunk's slowest member converges.
+    Each chunk runs through `flow._run_padded`, observed by
+    observer(sl, k, state, k1) with its member slice sl when one is given.
     """
     if params.cutoff != ensemble.spec.cutoff:
         raise ValueError("flow cutoff does not match ensemble cutoff")
-    drv = _resolve_drift(drift_fn, params.cutoff)
     coeffs = np.array(ensemble.coeffs)
     m = coeffs.shape[0]
     for start in range(0, m, chunk_size):
         sl = slice(start, min(start + chunk_size, m))
+        observe = functools.partial(observer, sl) if observer is not None else None
         try:
-            coeffs[sl] = _run_padded(coeffs[sl], params, drv, params.n_steps)
+            coeffs[sl] = _run_padded(coeffs[sl], params, drv, params.n_steps, observe)
         except StepFailure as exc:
             mask = exc.member_mask
             failed = np.nonzero(mask)[0] if mask is not None else []
@@ -340,6 +332,24 @@ def pushforward(ensemble: Ensemble, params: FlowParams,
     )
 
 
+def pushforward(ensemble: Ensemble, params: FlowParams,
+                drift_fn: Optional[SpectralDrift] = None,
+                chunk_size: int = 256) -> Ensemble:
+    """Move member fields with the flow over [t, t + t_end]; weights unchanged.
+
+    Weights transported along trajectories are exactly the time-t density at
+    the member's current position, so they are reused bitwise.  The drift
+    is `drift_fn` (the Euler drift when None), a `SpectralDrift` at the
+    flow's cutoff.  Members are stepped by `flow._run_padded` in chunks of
+    `chunk_size`, four drift evaluations per rk4 step; a failed step raises
+    `PushforwardError` naming its members.  rk4 results do not depend on the
+    partition; implicit midpoint results do, in the last bits (about 1e-12),
+    because the tolerance scales with the chunk's largest norm and the
+    sweeps run until the chunk's slowest member converges.
+    """
+    return _move(ensemble, params, _resolve_drift(drift_fn, params.cutoff), chunk_size)
+
+
 @dataclass(frozen=True)
 class WeakFormResult:
     residual: float
@@ -347,6 +357,7 @@ class WeakFormResult:
     n_samples: int
     dt: float
     bounds: dict
+    moved: Optional[Ensemble] = None  # the ensemble at the horizon
 
 
 def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
@@ -361,11 +372,11 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
     lattice; the time quadrature contributes an O(dt^2) bias on top of the
     Monte Carlo error.
 
-    The drift is a `SpectralDrift` at the flow's cutoff, as in
-    `pushforward`; each chunk is padded once and stepped in the padded
-    transform layout.  The drift b_N(w_k) of the pairing term is the k1 of
-    the step from t_k, so an rk4 step costs four drift evaluations and only
-    the horizon adds one.
+    The members move as in `pushforward` (same drift argument, chunks and
+    errors) and the result carries them, bitwise `pushforward`'s.  The
+    integrand accumulates through an observer of `flow._run_padded`: the
+    drift b_N(w_k) of the pairing term is the step's k1, so an rk4 step
+    costs four drift evaluations and only the horizon adds one.
     """
     n = params.cutoff
     drv = _resolve_drift(drift_fn, n)
@@ -374,33 +385,26 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
     for j, phi in enumerate(functional.phis):
         if sobolev_norm_diff(phi, n) > 1e-12 * max(1.0, sobolev_norm(phi, 0.0)):
             raise ValueError(f"test field {j} is not supported inside the cutoff lattice")
-    m = len(ensemble)
-    totals = np.zeros(m)
+    totals = np.zeros(len(ensemble))
     steps = params.n_steps
     pair_all0 = pairings_batch(ensemble.coeffs, n, functional.phis)
     bounds = functional.empirical_bounds(pair_all0)
-    for start in range(0, m, chunk_size):
-        sl = slice(start, min(start + chunk_size, m))
-        state = drv.pad(ensemble.coeffs[sl])
-        block = np.zeros(state.shape[0])
-        pair0 = pair_all0[sl]
-        for k in range(steps + 1):
-            t = k * params.dt
-            coeffs = drv.unpad(state)
-            pair = pair0 if k == 0 else pairings_batch(coeffs, n, functional.phis)
-            integrand = functional.dt_value(t, pair)
-            # the step's k1 is the drift b(w_k) that the pairing needs
-            k1 = drv.padded_drift(state) if k < steps or functional.n_pairings else None
-            if functional.n_pairings:
-                drift_pairs = pairings_batch(drv.unpad(k1), n, functional.phis)
-                integrand = integrand + np.sum(functional.pairing_gradient(t, pair) * drift_pairs, axis=-1)
-            tw = params.dt * (0.5 if k in (0, steps) else 1.0)
-            block += tw * integrand
-            if k < steps:
-                state = _advance(state, k1, params, drv)
-        totals[sl] = block + functional.value(0.0, pair0)
+
+    def observe(sl, k, state, k1):
+        t = k * params.dt
+        pair = pair_all0[sl] if k == 0 else pairings_batch(drv.unpad(state), n, functional.phis)
+        integrand = functional.dt_value(t, pair)
+        if functional.n_pairings:
+            drift_pairs = pairings_batch(drv.unpad(k1), n, functional.phis)
+            integrand = integrand + np.sum(functional.pairing_gradient(t, pair) * drift_pairs, axis=-1)
+        totals[sl] += params.dt * (0.5 if k in (0, steps) else 1.0) * integrand
+        if k == steps:
+            totals[sl] += functional.value(0.0, pair_all0[sl])
+
+    moved = _move(ensemble, params, drv, chunk_size, observe)
     residual, se = _mean_se(ensemble.weights * totals)
-    return WeakFormResult(residual=residual, std_error=se, n_samples=m, dt=params.dt, bounds=bounds)
+    return WeakFormResult(residual=residual, std_error=se, n_samples=len(ensemble), dt=params.dt,
+                          bounds=bounds, moved=moved)
 
 
 def sobolev_norm_diff(phi: SpectralField, cutoff: int) -> float:

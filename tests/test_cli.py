@@ -82,6 +82,13 @@ class TestConfigValidation:
         # an unknown observable (raised inside the battery, exit 1)
         ("invariance", {"N": 2, "M": 50, "T": 0.02, "observables": ["cos_x1", "nope"]},
          "observables[1]"),
+        # a zero horizon (the time ramp raised inside the battery, exit 1)
+        ("transport", {"N": 2, "M": 50, "T": 0, "integrator": "rk4"}, "T"),
+        # a repeated cutoff (cauchy passed vacuously, exp_integrability and
+        # dirichlet_kernel wrote every row of it twice)
+        ("cauchy", {"N_list": [2, 2], "M": 100}, "N_list"),
+        ("exp_integrability", {"M": 200, "N_list": [4, 4]}, "N_list"),
+        ("dirichlet_kernel", {"N_list": [2, 2]}, "N_list"),
     ])
     def test_entries_checked_before_any_battery_runs(self, tmp_path, capsys, name, params, field):
         # a valid entry first: nothing may run, and no output directory appear

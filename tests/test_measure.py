@@ -264,12 +264,18 @@ class TestEnsembleTransport:
         whole = pushforward(e, p, chunk_size=128)
         assert np.array_equal(small.coeffs, whole.coeffs)
 
-    def test_divergent_step_reports_members(self):
+    @pytest.mark.parametrize("entry", ["pushforward", "weak_form_residual"])
+    def test_divergent_step_reports_members(self, entry):
+        # both integrators share one chunk loop, which names the members
+        # whose step failed
         e = init_ensemble(SPEC, UniformDensity(), 8)
         bad = FlowParams(cutoff=4, dt=5.0, t_end=5.0, midpoint_max_iter=8)
-        with pytest.raises(PushforwardError) as info:
-            pushforward(e, bad)
-        assert len(info.value.failed_members) >= 1
+        with pytest.raises(PushforwardError, match=r"members \[0, 1,") as info:
+            if entry == "pushforward":
+                pushforward(e, bad)
+            else:
+                weak_form_residual(e, _cylinder(5.0), bad)
+        assert info.value.failed_members == list(range(8))
 
 
 class TestWeakForm:
@@ -394,3 +400,35 @@ class TestTransportBytes:
             run(SpectralDrift(6))
         with pytest.raises(TypeError, match="drift_fn must be a SpectralDrift"):
             run(lambda c: SpectralDrift(4)(c))
+
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
+    def test_weak_form_moves_the_ensemble_as_pushforward(self, integrator):
+        # the same chunk partition steps the same members: the moved
+        # ensemble is bitwise pushforward's, tail chunk included
+        e = init_ensemble(TRANSPORT_SPEC, GaussianTilt(PHI), 70)
+        p = FlowParams(cutoff=4, dt=1e-2, t_end=0.05, integrator=integrator)
+        moved = weak_form_residual(e, _cylinder(0.05), p, chunk_size=32).moved
+        out = pushforward(e, p, chunk_size=32)
+        assert np.array_equal(moved.coeffs, out.coeffs)
+        assert moved.t == out.t == 0.05
+        assert np.array_equal(moved.weights, e.weights)
+        assert np.array_equal(moved.stream_ids, e.stream_ids)
+
+    @pytest.mark.parametrize("entry", ["pushforward", "weak_form_residual"])
+    def test_drift_evaluations(self, entry):
+        # rk4: four member evaluations per member-step; the weak form's
+        # pairing term reuses each step's k1 and only the horizon adds one
+        drv = SpectralDrift(4)
+        members = []
+        padded_drift = drv.padded_drift
+        drv.padded_drift = lambda s: members.append(s.shape[0]) or padded_drift(s)
+        e = init_ensemble(TRANSPORT_SPEC, GaussianTilt(PHI), 70)
+        p = FlowParams(cutoff=4, dt=1e-2, t_end=0.1, integrator="rk4")
+        if entry == "pushforward":
+            pushforward(e, p, drift_fn=drv, chunk_size=32)
+            per_chunk = 4 * p.n_steps
+        else:
+            weak_form_residual(e, _cylinder(0.1), p, drift_fn=drv, chunk_size=32)
+            per_chunk = 4 * p.n_steps + 1
+        assert len(members) == 3 * per_chunk
+        assert sum(members) == 70 * per_chunk
