@@ -82,11 +82,14 @@ class _Params:
             _typed(v, typ, f"{self.path}.{key}[{j}]", lo)
         return vals
 
+    def distinct_list(self, key: str, typ, default: list, lo=None) -> list:
+        vals = self.get_list(key, typ, default, lo)
+        if len(set(vals)) < len(vals):  # a repeat pairs a cutoff with itself or writes a row twice
+            raise ConfigError(f"{self.path}.{key}", f"repeats an entry: {vals}")
+        return vals
+
     def cutoffs(self, default: list) -> list:
-        n_list = self.get_list("N_list", int, default, lo=1)
-        if len(set(n_list)) < len(n_list):  # a repeat pairs a cutoff with itself or writes it twice
-            raise ConfigError(f"{self.path}.N_list", f"repeats a cutoff: {n_list}")
-        return n_list
+        return self.distinct_list("N_list", int, default, lo=1)
 
     def field(self, key: str, default: str):
         return _named_field(self.get(key, str, default), f"{self.path}.{key}")
@@ -142,7 +145,7 @@ def _build_moment_bound(p: _Params, seed: int):
 def _build_exp_integrability(p: _Params, seed: int):
     count = p.get("M", int, 5000, lo=2)
     n_list = p.cutoffs([4, 8, 16])
-    eps_list = p.get_list("eps_list", float, [0.1, 0.25, 0.4, 0.5])
+    eps_list = p.distinct_list("eps_list", float, [0.1, 0.25, 0.4, 0.5])
     kind = p.get("kernel", str, "exchange")
     if kind not in ("exchange", "drift"):
         raise ConfigError(f"{p.path}.kernel", f"unknown kernel kind {kind!r}")

@@ -366,7 +366,11 @@ def quadratic_coefficients(phi: SpectralField, cutoff: int) -> DriftForm:
 
 
 def quadratic_pairing(field: SpectralField, form: QuadraticForm) -> float:
-    """Evaluate the quadratic form on a field (projected to the form's cutoff)."""
+    """Evaluate the quadratic form on a field.
+
+    A field below the form's cutoff is padded with zeros; a field above it
+    raises ValueError, so truncate it with `project` first.
+    """
     vals = quadratic_pairing_batch(field.coeffs[None, ...], field.cutoff, form)
     return float(vals[0])
 

@@ -229,10 +229,9 @@ class TruncatedDensity(DensitySpec):
             raise ValueError("truncated density used before estimating its normalization")
         return self.raw_values(coeffs, cutoff) / self.norm_const
 
-    def with_normalization(self, spec: MeasureSpec, n_samples: int,
-                           seed_offset: int = 1) -> "TruncatedDensity":
+    def with_normalization(self, spec: MeasureSpec, n_samples: int) -> "TruncatedDensity":
         """Estimate Z = E min(base, bound) on a dedicated stream family."""
-        est_spec = replace(spec, seed=spec.seed + seed_offset)
+        est_spec = replace(spec, seed=spec.seed + 1)
         z, se = _mean_se(self.raw_values(sample_batch(est_spec, range(n_samples)), spec.cutoff))
         return TruncatedDensity(self.base, self.bound, norm_const=z, norm_std_error=se)
 
@@ -278,8 +277,7 @@ class Ensemble:
         return _mean_se(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0))
 
 
-def init_ensemble(spec: MeasureSpec, density: DensitySpec, count: int,
-                  start_index: int = 0) -> Ensemble:
+def init_ensemble(spec: MeasureSpec, density: DensitySpec, count: int) -> Ensemble:
     """Draw `count` members and weight them by the initial density.
 
     The weighted mean of F over the ensemble estimates the integral of F
@@ -287,7 +285,7 @@ def init_ensemble(spec: MeasureSpec, density: DensitySpec, count: int,
     """
     if count < 1:
         raise ValueError("ensemble needs at least one member")
-    ids = np.arange(start_index, start_index + count)
+    ids = np.arange(count)
     coeffs = sample_batch(spec, ids)
     weights = density.values(coeffs, spec.cutoff)
     return Ensemble(spec=spec, coeffs=coeffs, weights=np.asarray(weights, dtype=float),

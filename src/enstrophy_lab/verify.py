@@ -47,10 +47,11 @@ from .fields import (
     gradient_at,
     grid_to_coeffs,
     project,
+    project_coeffs,
     sobolev_norm,
     to_grid,
 )
-from .flow import FlowParams, real_coordinate_layout
+from .flow import FlowParams, coords_to_coeffs
 from .measure import (
     GaussianTilt,
     MeasureSpec,
@@ -60,6 +61,7 @@ from .measure import (
     pairings_batch,
     pushforward,
     sample_batch,
+    sample_coeffs,
     weak_form_residual,
 )
 
@@ -270,19 +272,11 @@ def real_form_matrix(form: QuadraticForm) -> np.ndarray:
     eigenvalues of the result give the exact critical exponent
     1/(2 max|eig|) for exponential integrability of the pairing.
     """
-    d, hi, hj = real_coordinate_layout(form.cutoff)
-    dim = d * d
-    t = np.zeros((dim, dim), dtype=complex)
-    centre = form.cutoff * d + form.cutoff
-    t[centre, 0] = 1.0
-    h = len(hi)
-    flat = hi * d + hj
-    mirror = (d - 1 - hi) * d + (d - 1 - hj)
-    cols = np.arange(h)
-    t[flat, 1 + cols] = 1.0 / np.sqrt(2.0)
-    t[mirror, 1 + cols] = 1.0 / np.sqrt(2.0)
-    t[flat, 1 + h + cols] = 1j / np.sqrt(2.0)
-    t[mirror, 1 + h + cols] = -1j / np.sqrt(2.0)
+    dim = (2 * form.cutoff + 1) ** 2
+    scale = np.full(dim, 1.0 / np.sqrt(2.0))
+    scale[0] = 1.0
+    # column k is the coefficient table of coordinate k scaled to unit variance
+    t = coords_to_coeffs(np.diag(scale), form.cutoff).reshape(dim, dim).T
     b = t.T @ form.matrix() @ t
     b = 0.5 * (b + b.T)
     if float(np.abs(b.imag).max()) > 1e-10 * max(1.0, float(np.abs(b.real).max())):
@@ -293,21 +287,39 @@ def real_form_matrix(form: QuadraticForm) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # batteries
 
+# Samples drawn and paired per block, so that memory does not grow with the count.
+_BLOCK = 512
 
-def wick_mean_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
-                   name: str = "wick_mean") -> TestReport:
+
+def _pairing_values(spec: MeasureSpec, count: int,
+                    forms: Sequence[QuadraticForm]) -> list[np.ndarray]:
+    """Pairings of samples 0..count-1 at `spec.cutoff`, one (count,) array per form.
+
+    Samples are drawn in blocks of `_BLOCK` and projected to each form's
+    cutoff.  Every pairing is row-independent, so the values equal those of
+    one whole-batch pairing bit for bit.
+    """
+    values = [np.empty(count) for _ in forms]
+    for start in range(0, count, _BLOCK):
+        batch = sample_batch(spec, range(start, min(start + _BLOCK, count)))
+        for vals, form in zip(values, forms):
+            proj = project_coeffs(batch, spec.cutoff, form.cutoff)
+            vals[start : start + len(batch)] = quadratic_pairing_batch(proj, form.cutoff, form)
+    return values
+
+
+def wick_mean_test(kernel: QuadraticForm, spec: MeasureSpec, count: int) -> TestReport:
     """Gaussian mean identity: MC mean of the pairing equals the mode trace."""
     if count < 10 ** 3:
         raise ValueError("mean test needs at least 1000 samples")
     if spec.cutoff != kernel.cutoff:
         raise ValueError("kernel and measure cutoffs differ")
-    batch = sample_batch(spec, range(count))
-    q = quadratic_pairing_batch(batch, spec.cutoff, kernel)
+    q, = _pairing_values(spec, count, [kernel])
     mean, se = _mean_se(q)
     trace = kernel.trace()
     passed = abs(mean - trace) <= 3.0 * se
     return TestReport(
-        name=name,
+        name="wick_mean",
         params={"N": spec.cutoff, "M": count},
         seed=spec.seed,
         passed=passed,
@@ -318,13 +330,11 @@ def wick_mean_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
     )
 
 
-def wick_variance_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
-                       name: str = "wick_variance") -> TestReport:
+def wick_variance_test(kernel: QuadraticForm, spec: MeasureSpec, count: int) -> TestReport:
     """Gaussian variance identity for symmetric kernels: Var = 2 sum |A|^2."""
     if spec.cutoff != kernel.cutoff:
         raise ValueError("kernel and measure cutoffs differ")
-    batch = sample_batch(spec, range(count))
-    q = quadratic_pairing_batch(batch, spec.cutoff, kernel)
+    q, = _pairing_values(spec, count, [kernel])
     centred = q - kernel.trace()
     var = float(np.mean(centred ** 2))
     m4 = float(np.mean(centred ** 4))
@@ -333,7 +343,7 @@ def wick_variance_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
     rel = abs(var - pred) / pred if pred > 0 else abs(var)
     passed = abs(var - pred) <= max(0.05 * pred, 3.0 * se_var)
     return TestReport(
-        name=name,
+        name="wick_variance",
         params={"N": spec.cutoff, "M": count},
         seed=spec.seed,
         passed=passed,
@@ -350,19 +360,20 @@ def moment_bound(p: int) -> float:
 
 
 def moment_bound_test(kernel: QuadraticForm, p: int, spec: MeasureSpec, count: int,
-                      sup_norm: float = 1.0, name: Optional[str] = None) -> TestReport:
+                      sup_norm: float = 1.0) -> TestReport:
     """p-th absolute moment of the pairing against the factorial-type bound."""
     if not 2 <= p <= 6:
         raise ValueError("moment order restricted to 2..6 (noise grows too fast above)")
     if sup_norm > 1.0 + 1e-12:
         raise ValueError("kernel must be normalized to sup norm at most 1")
-    batch = sample_batch(spec, range(count))
-    q = np.abs(quadratic_pairing_batch(batch, spec.cutoff, kernel)) ** p
+    if spec.cutoff != kernel.cutoff:
+        raise ValueError("kernel and measure cutoffs differ")
+    q = np.abs(_pairing_values(spec, count, [kernel])[0]) ** p
     est, se = _mean_se(q)
     bound = moment_bound(p) * sup_norm ** p
     passed = est + 3.0 * se <= bound
     return TestReport(
-        name=name or f"moment_bound_p{p}",
+        name=f"moment_bound_p{p}",
         params={"N": spec.cutoff, "M": count, "p": p, "sup_norm": sup_norm},
         seed=spec.seed,
         passed=passed,
@@ -407,8 +418,7 @@ def series_check(eps: float, p_max: int = 400) -> dict:
 
 def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[float],
                            spec: MeasureSpec, count: int, n_list: Sequence[int],
-                           k_max: int = 64, kernel_kind: str = "exchange",
-                           name: Optional[str] = None) -> TestReport:
+                           kernel_kind: str = "exchange") -> TestReport:
     """Exponential moments of a sup-normalized pairing across cutoffs.
 
     For eps <= 0.4 the estimates must be finite and free of a growth trend
@@ -419,26 +429,23 @@ def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[floa
     approaching 2*eps.
     """
     n_list = sorted(n_list)
-    n_ref = max(n_list)
-    base = replace(spec, cutoff=n_ref)
-    batch = sample_batch(base, range(count))
+    base = replace(spec, cutoff=max(n_list))
     rows = []
     notes = []
     estimates: dict[tuple[float, int], tuple[float, float]] = {}
     if kernel_kind == "drift":
         if phi is None:
             raise ValueError("drift kernel family needs a test field")
-        ke = KernelEval(phi, k_max=k_max)
-        sup = measured_sup_symmetrized(ke)
-        notes.append(f"normalized by measured kernel sup {sup:.6g} (truncated series, k_max={k_max})")
+        sup = measured_sup_symmetrized(KernelEval(phi, k_max=64))
+        notes.append(f"normalized by measured kernel sup {sup:.6g} (truncated series, k_max=64)")
     elif kernel_kind == "exchange":
         sup = 1.0
     else:
         raise ValueError(f"unknown kernel kind {kernel_kind!r}")
-    for n in n_list:
-        proj = batch[..., n_ref - n : n_ref + n + 1, n_ref - n : n_ref + n + 1]
-        form = quadratic_coefficients(phi, n) if kernel_kind == "drift" else exchange_kernel(n)
-        q = quadratic_pairing_batch(proj, n, form) / sup
+    forms = [quadratic_coefficients(phi, n) if kernel_kind == "drift" else exchange_kernel(n)
+             for n in n_list]
+    for n, q in zip(n_list, _pairing_values(base, count, forms)):
+        q = q / sup
         for eps in eps_list:
             vals = np.exp(eps * np.abs(q))
             est, se = _mean_se(vals)
@@ -480,8 +487,8 @@ def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[floa
     if critical is not None:
         summary["critical_eps_exact"] = critical
     return TestReport(
-        name=name or f"exp_integrability_{kernel_kind}",
-        params={"M": count, "N_list": list(n_list), "eps_list": list(eps_list), "k_max": k_max},
+        name=f"exp_integrability_{kernel_kind}",
+        params={"M": count, "N_list": list(n_list), "eps_list": list(eps_list), "k_max": 64},
         seed=spec.seed,
         passed=passed,
         summary=summary,
@@ -492,12 +499,8 @@ def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[floa
     )
 
 
-# Samples drawn and paired per block in `cauchy_study`.
-_CAUCHY_CHUNK = 512
-
-
 def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
-                 spec: MeasureSpec, count: int, name: str = "cauchy") -> TestReport:
+                 spec: MeasureSpec, count: int) -> TestReport:
     """Mean-square truncation increments against the spectral prediction.
 
     Common samples at the reference cutoff are truncated to each listed
@@ -509,24 +512,14 @@ def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
     if n_ref < max(n_list):
         raise ValueError("reference cutoff must dominate the cutoff list")
     base = replace(spec, cutoff=n_ref)
-    qs = {n: np.empty(count) for n in n_list}
-    checked = False
-    notes = []
     forms = {n: quadratic_coefficients(phi, n) for n in n_list}
-    for start in range(0, count, _CAUCHY_CHUNK):
-        ids = range(start, min(start + _CAUCHY_CHUNK, count))
-        batch = sample_batch(base, ids)
-        for n in n_list:
-            proj = batch[..., n_ref - n : n_ref + n + 1, n_ref - n : n_ref + n + 1]
-            qvals = quadratic_pairing_batch(proj, n, forms[n])
-            qs[n][start : start + len(qvals)] = qvals
-            if not checked:
-                w = SpectralField(n, proj[0])
-                ref = dual_pairing(drift(w, n), project(phi, n))
-                if abs(ref - qvals[0]) > 1e-9 * max(1.0, abs(ref)):
-                    raise AssertionError("structured pairing disagrees with drift route")
-        checked = True
-    notes.append("structured pairing cross-checked against the drift route on the first chunk")
+    qs = dict(zip(n_list, _pairing_values(base, count, list(forms.values()))))
+    first = SpectralField(n_ref, sample_coeffs(base, 0))
+    for n in n_list:
+        ref = dual_pairing(drift(project(first, n), n), project(phi, n))
+        if abs(ref - qs[n][0]) > 1e-9 * max(1.0, abs(ref)):
+            raise AssertionError("structured pairing disagrees with drift route")
+    notes = ["structured pairing cross-checked against the drift route on the first chunk"]
     fro = {n: forms[n].frobenius_sq() for n in n_list}
     rows = []
     passed = True
@@ -546,7 +539,7 @@ def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
                      "l1_std_error": l1se, "n_samples": count, "pass": ok})
         prev_ms = ms
     return TestReport(
-        name=name,
+        name="cauchy",
         params={"N_list": list(n_list), "N_ref": n_ref, "M": count},
         seed=spec.seed,
         passed=passed,
@@ -570,8 +563,7 @@ def _moment_rows(values: np.ndarray, label: str) -> list[dict]:
 def invariance_test(spec: MeasureSpec, params: FlowParams,
                     observables: Sequence[SpectralField], count: int,
                     drift_shift: Optional[tuple[SpectralField, float]] = None,
-                    expect_fail: bool = False,
-                    name: Optional[str] = None) -> TestReport:
+                    expect_fail: bool = False) -> TestReport:
     """Distribution of test pairings before and after transport.
 
     Under the unmodified drift the pushforward of the white-noise ensemble
@@ -609,7 +601,7 @@ def invariance_test(spec: MeasureSpec, params: FlowParams,
     else:
         passed = all(p > 0.01 for p in pvals)
     return TestReport(
-        name=name or ("invariance_negative" if expect_fail else "invariance"),
+        name="invariance_negative" if expect_fail else "invariance",
         params={"N": spec.cutoff, "M": count, "T": params.t_end, "dt": params.dt,
                 "integrator": params.integrator,
                 "drift_shift": None if drift_shift is None else drift_shift[1]},
@@ -622,7 +614,7 @@ def invariance_test(spec: MeasureSpec, params: FlowParams,
 
 
 def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int = 64,
-                           k_max: int = 64, name: str = "dirichlet_kernel") -> TestReport:
+                           k_max: int = 64) -> TestReport:
     """Symmetries and trace cancellation of the sharp-truncation kernel.
 
     Checks, per cutoff: grid symmetry of the kernel under coordinate swap
@@ -670,7 +662,7 @@ def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int 
     if not abs(last.value) <= abs(first.value) + first.error + last.error:
         passed = False
     return TestReport(
-        name=name,
+        name="dirichlet_kernel",
         params={"N_list": sorted(n_list), "G": size, "k_max": k_max},
         seed=0,
         passed=passed,
@@ -682,8 +674,7 @@ def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int 
 
 
 def transport_battery(spec: MeasureSpec, params: FlowParams, tilt_phi: SpectralField,
-                      obs_phi: SpectralField, count: int,
-                      name: str = "transport") -> TestReport:
+                      obs_phi: SpectralField, count: int) -> TestReport:
     """Weak-form residual, two-route consistency, and entropy invariance.
 
     The residual check allows a time-quadrature bias calibrated by a
@@ -725,7 +716,7 @@ def transport_battery(spec: MeasureSpec, params: FlowParams, tilt_phi: SpectralF
 
     passed = residual_ok and two_route_ok and weights_ok and entropy_ok
     return TestReport(
-        name=name,
+        name="transport",
         params={"N": spec.cutoff, "M": count, "T": params.t_end, "dt": params.dt,
                 "integrator": params.integrator},
         seed=spec.seed,

@@ -89,6 +89,8 @@ class TestConfigValidation:
         ("cauchy", {"N_list": [2, 2], "M": 100}, "N_list"),
         ("exp_integrability", {"M": 200, "N_list": [4, 4]}, "N_list"),
         ("dirichlet_kernel", {"N_list": [2, 2]}, "N_list"),
+        # a repeated exponent (exp_integrability wrote each of its rows twice)
+        ("exp_integrability", {"M": 200, "N_list": [2, 4], "eps_list": [0.1, 0.1]}, "eps_list"),
     ])
     def test_entries_checked_before_any_battery_runs(self, tmp_path, capsys, name, params, field):
         # a valid entry first: nothing may run, and no output directory appear

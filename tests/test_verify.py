@@ -8,17 +8,24 @@ import pytest
 from enstrophy_lab.dynamics import DenseForm, quadratic_coefficients, quadratic_pairing_batch
 from enstrophy_lab.fields import SpectralField, dual_pairing, project
 from enstrophy_lab.measure import MeasureSpec, sample_batch
+from enstrophy_lab import verify
+from enstrophy_lab.flow import coords_to_coeffs
 from enstrophy_lab.verify import (
     TestReport,
     _exchange_pairing,
+    _pairing_values,
+    cauchy_study,
     exchange_kernel,
     measured_sup_symmetrized,
     moment_bound,
     named_test_field,
+    exp_integrability_test,
+    moment_bound_test,
     rank_one_form,
     real_form_matrix,
     series_check,
     wick_mean_test,
+    wick_variance_test,
     write_summary_csv,
 )
 from enstrophy_lab.dynamics import KernelEval
@@ -71,6 +78,21 @@ class TestReferenceKernels:
     def test_critical_epsilon_exchange(self):
         eig = np.linalg.eigvalsh(real_form_matrix(exchange_kernel(2)))
         assert abs(1.0 / (2 * np.abs(eig).max()) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("form", [
+        quadratic_coefficients(named_test_field("cos_x1_plus_x2"), 2),
+        exchange_kernel(2),
+        rank_one_form(named_test_field("mix_low"), 2, named_test_field("cos_2x1_plus_x2")),
+    ])
+    def test_real_form_matrix_is_the_pairing_on_real_coordinates(self, form):
+        # coordinates of unit variance: the zero mode, then sqrt(2) Re and sqrt(2) Im
+        dim = (2 * form.cutoff + 1) ** 2
+        scale = np.full(dim, 1.0 / np.sqrt(2.0))
+        scale[0] = 1.0
+        x = np.random.default_rng(4).standard_normal((20, dim))
+        got = np.einsum("ki,ij,kj->k", x, real_form_matrix(form), x)
+        ref = quadratic_pairing_batch(coords_to_coeffs(x * scale, form.cutoff), form.cutoff, form)
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_zero_kernel_exponential_moment_is_one(self):
         zero = DenseForm(2, np.zeros((25, 25), dtype=complex))
@@ -148,9 +170,16 @@ class TestBatteryGuards:
         with pytest.raises(ValueError):
             wick_mean_test(exchange_kernel(2), spec, 10)
 
-    def test_mean_test_cutoff_consistency(self):
-        with pytest.raises(ValueError):
-            wick_mean_test(exchange_kernel(2), MeasureSpec(cutoff=3, seed=0), 2000)
+    @pytest.mark.parametrize("battery", [
+        lambda spec: wick_mean_test(exchange_kernel(2), spec, 2000),
+        lambda spec: wick_variance_test(exchange_kernel(2), spec, 2000),
+        # blocked pairing projects to the form's cutoff; a finer measure must
+        # still raise rather than be truncated
+        lambda spec: moment_bound_test(exchange_kernel(2), 2, spec, 2000),
+    ], ids=["wick_mean", "wick_variance", "moment_bound"])
+    def test_kernel_and_measure_cutoffs_must_agree(self, battery):
+        with pytest.raises(ValueError, match="cutoffs differ"):
+            battery(MeasureSpec(cutoff=3, seed=0))
 
     def test_named_field_unknown(self):
         with pytest.raises(ValueError):
@@ -163,3 +192,43 @@ class TestBatteryGuards:
         rep = wick_mean_test(form, MeasureSpec(cutoff=3, seed=21), 4000)
         assert rep.passed
         assert rep.summary["exact_trace"] == 0.0
+
+
+class TestBlockedPairing:
+    PHI = named_test_field("cos_x1_plus_x2")
+
+    @pytest.mark.parametrize("make", [
+        lambda n: quadratic_coefficients(TestBlockedPairing.PHI, n),
+        exchange_kernel,
+        lambda n: rank_one_form(named_test_field("mix_low"), n, named_test_field("cos_2x1_plus_x2")),
+    ], ids=["drift", "exchange", "rank_one"])
+    def test_bytes_equal_whole_batch_pairing(self, make):
+        # 1100 samples: two full blocks and a partial one; cutoffs 2 and 3
+        # sit below the sampled cutoff 5 and are truncated by hand here
+        spec, count = MeasureSpec(cutoff=5, seed=20260801), 1100
+        forms = [make(n) for n in (2, 3, 5)]
+        batch = sample_batch(spec, range(count))
+        for form, got in zip(forms, _pairing_values(spec, count, forms)):
+            n = form.cutoff
+            sub = batch[..., 5 - n : 5 + n + 1, 5 - n : 5 + n + 1]
+            ref = quadratic_pairing_batch(sub, n, form)
+            assert got.shape == (count,)
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("battery", [
+        lambda spec, m: wick_mean_test(exchange_kernel(2), spec, m),
+        lambda spec, m: wick_variance_test(exchange_kernel(2), spec, m),
+        lambda spec, m: moment_bound_test(exchange_kernel(2), 3, spec, m),
+        lambda spec, m: exp_integrability_test(None, [0.1], spec, m, [1, 2]),
+        lambda spec, m: cauchy_study(TestBlockedPairing.PHI, [1, 2], 2, spec, m),
+    ], ids=["wick_mean", "wick_variance", "moment_bound", "exp_integrability", "cauchy"])
+    def test_batteries_draw_in_blocks(self, monkeypatch, battery):
+        sizes = []
+
+        def recording(spec, indices):
+            sizes.append(len(indices))
+            return sample_batch(spec, indices)
+
+        monkeypatch.setattr(verify, "sample_batch", recording)
+        battery(MeasureSpec(cutoff=2, seed=3), 1300)
+        assert sum(sizes) == 1300 and max(sizes) <= 512
