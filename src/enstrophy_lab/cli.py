@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -46,11 +47,13 @@ class ConfigError(Exception):
 
 
 def _typed(val, typ, field: str, lo=None, hi=None):
-    """`val` as `typ` (an int is a float; a bool is neither), within [lo, hi]."""
+    """`val` as `typ` (an int is a float; a bool is neither; a float is finite), within [lo, hi]."""
     if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
     if isinstance(val, bool) or not isinstance(val, typ):
         raise ConfigError(field, f"expected {typ.__name__}, got {type(val).__name__}")
+    if typ is float and not math.isfinite(val):
+        raise ConfigError(field, f"must be finite, got {val}")
     if (lo is not None and val < lo) or (hi is not None and val > hi):
         bounds = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
         raise ConfigError(field, f"must be {bounds}, got {val}")

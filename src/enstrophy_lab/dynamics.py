@@ -227,7 +227,7 @@ class SpectralDrift:
     def _buffers(self, shape: tuple) -> tuple:
         local = self._scratch
         if getattr(local, "shape", None) != shape:
-            local.shape = shape
+            local.shape, local.bufs = shape, None  # free the old pair before allocating
             local.bufs = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
         return local.bufs
 

@@ -13,11 +13,12 @@ lattice, so this is exact.  Its observer sees each step's state and k1:
 `evolve` records through one, `measure.weak_form_residual` integrates.
 Array cores operate on stacked coefficient tables so that ensembles of
 trajectories integrate vectorized; independent trajectories never
-interact, which keeps results deterministic under any scheduling.
+interact, not even in the midpoint iteration, which stops member by member.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -49,10 +50,14 @@ class FlowParams:
     midpoint_max_iter: int = 50
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
+        if not (math.isfinite(self.midpoint_tol) and self.midpoint_tol > 0):
+            raise ValueError(f"midpoint_tol must be positive and finite, got {self.midpoint_tol}")
+        if self.midpoint_max_iter < 1:
+            raise ValueError(f"midpoint_max_iter must be at least 1, got {self.midpoint_max_iter}")
         if self.integrator not in ("rk4", "implicit_midpoint"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         ratio = self.t_end / self.dt
@@ -62,10 +67,6 @@ class FlowParams:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
-
-
-def _batch_norm(coeffs: np.ndarray) -> float:
-    return float(np.sqrt(np.max(np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)))))
 
 
 def _resolve_drift(drift_fn: Optional[SpectralDrift], cutoff: int) -> SpectralDrift:
@@ -87,12 +88,10 @@ def _rk4_from(state: np.ndarray, k1: np.ndarray, dt: float, drv: SpectralDrift) 
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _midpoint_failure(inc: np.ndarray, tol_abs: float, dt: float, sweeps: int,
+def _midpoint_failure(m: int, failed: np.ndarray, inc: np.ndarray, dt: float, sweeps: int,
                       diverged: bool = False) -> StepFailure:
-    bad = ~(inc <= tol_abs)  # catches overflow to NaN as well
-    resid = float(inc.max())
-    if not np.isfinite(resid):
-        resid = float("inf")
+    """The failure of members `failed` of m, whose last increments are `inc`."""
+    resid = float(inc.max()) if np.isfinite(inc).all() else float("inf")
     what = (f"diverged at sweep {sweeps}" if diverged
             else f"did not converge in {sweeps} iterations")
     return StepFailure(
@@ -100,45 +99,44 @@ def _midpoint_failure(inc: np.ndarray, tol_abs: float, dt: float, sweeps: int,
         f"(residual {resid:.3e}, dt={dt}); halving dt may help",
         iterations=sweeps,
         residual=resid,
-        member_mask=np.atleast_1d(bad),
+        member_mask=np.isin(np.arange(m), failed),
     )
 
 
 def _midpoint_from(base: np.ndarray, k1: np.ndarray, dt: float, drv: SpectralDrift,
-                   tol_abs: float, max_iter: int) -> np.ndarray:
+                   tol: float, max_iter: int) -> np.ndarray:
     """Solve w' = base + dt * b((base + w')/2) from the predictor base + dt * k1.
 
-    `base` is padded and k1 = drv.padded_drift(base).  A contraction
-    shrinks the largest increment from sweep to sweep, so an increment
-    that is not finite or exceeds the first sweep's stops the iteration at
-    once, before it can overflow.
+    `base` is padded and k1 = drv.padded_drift(base).  Member i stops once
+    its increment is at most tol * max(1, |base_i|), is written over its
+    row of `base` and leaves later sweeps, so its bytes do not depend on
+    the other members.  A contraction shrinks a member's increment from
+    sweep to sweep, so one that is not finite or exceeds the member's first
+    fails the step at once, before it can overflow.
     """
-    state = base + dt * k1
+    members = base.reshape((-1,) + base.shape[-2:])  # a view of the contiguous padded state
+    tols = tol * np.maximum(1.0, np.sqrt(enstrophy(members)))
+    active = np.arange(len(members))
+    state = (base + dt * k1).reshape(members.shape)
     first = None
     for sweep in range(1, max_iter + 1):
-        new = base + dt * drv.padded_drift(0.5 * (base + state))
-        inc = np.sqrt(np.sum(np.abs(new - state) ** 2, axis=(-2, -1)))
-        state = new
-        worst = inc.max()
-        if worst <= tol_abs:
-            return state
-        if first is None:
-            first = worst
-        if not (np.isfinite(worst) and worst <= first):
-            raise _midpoint_failure(inc, tol_abs, dt, sweep, diverged=True)
-    raise _midpoint_failure(inc, tol_abs, dt, max_iter)
-
-
-def _advance(state: np.ndarray, k1: np.ndarray, params: FlowParams, drv: SpectralDrift) -> np.ndarray:
-    """One step of the configured scheme from padded `state`, given k1 = drv.padded_drift(state).
-
-    The largest norm of `state` scales the midpoint tolerance.
-    """
-    if params.integrator == "rk4":
-        return _rk4_from(state, k1, params.dt, drv)
-    scale = max(1.0, _batch_norm(state))
-    return _midpoint_from(state, k1, params.dt, drv, params.midpoint_tol * scale,
-                          params.midpoint_max_iter)
+        # base + dt * b, as addition commutes; only one iterate and no copy
+        # of base outlive the sweep
+        prev = state
+        state = dt * drv.padded_drift(0.5 * (members[active] + prev))
+        state += members[active]
+        inc = np.sqrt(enstrophy(state - prev))
+        done = inc <= tols
+        first = inc if first is None else first
+        bad = ~done & ~(np.isfinite(inc) & (inc <= first))
+        if bad.any():
+            raise _midpoint_failure(len(members), active[bad], inc[bad], dt, sweep, diverged=True)
+        if done.any():
+            members[active[done]] = state[done]
+            active, state, first, tols = active[~done], state[~done], first[~done], tols[~done]
+            if not active.size:
+                return members.reshape(base.shape)
+    raise _midpoint_failure(len(members), active, inc[~done], dt, max_iter)
 
 
 def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
@@ -147,14 +145,16 @@ def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
 
     With `observe`, calls observe(k, state, k1) for k = 0..n_steps with the
     padded state and k1 = drv.padded_drift(state), which the step from it
-    reuses, so only the horizon adds an evaluation; neither may be written.
+    reuses, so only the horizon adds an evaluation.  Neither may be written
+    or kept: the midpoint step overwrites the state with the next one.
     """
     state = drv.pad(coeffs)
     for k in range(n_steps):
         k1 = drv.padded_drift(state)
         if observe is not None:
             observe(k, state, k1)
-        state = _advance(state, k1, params, drv)
+        state = (_rk4_from(state, k1, params.dt, drv) if params.integrator == "rk4" else
+                 _midpoint_from(state, k1, params.dt, drv, params.midpoint_tol, params.midpoint_max_iter))
     if observe is not None:
         observe(n_steps, state, drv.padded_drift(state))
     return drv.unpad(state)

@@ -51,6 +51,8 @@ _POOL_SIZE = 4
 # Rows drawn and assembled per block; small blocks keep the temporaries
 # (draws, values, conjugates) a few MB even at N=32.
 _CHUNK_ROWS = 64
+# Members stepped together; it bounds memory and never changes results.
+_CHUNK_MEMBERS = 256
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
@@ -300,9 +302,9 @@ class PushforwardError(Exception):
         self.failed_members = failed_members
 
 
-def _move(ensemble: Ensemble, params: FlowParams, drv: SpectralDrift, chunk_size: int,
+def _move(ensemble: Ensemble, params: FlowParams, drv: SpectralDrift,
           observer: Optional[Callable] = None) -> Ensemble:
-    """The ensemble moved over [t, t + t_end] in chunks of `chunk_size` members.
+    """The ensemble moved over [t, t + t_end] in chunks of `_CHUNK_MEMBERS` members.
 
     Each chunk runs through `flow._run_padded`, observed by
     observer(sl, k, state, k1) with its member slice sl when one is given.
@@ -311,8 +313,8 @@ def _move(ensemble: Ensemble, params: FlowParams, drv: SpectralDrift, chunk_size
         raise ValueError("flow cutoff does not match ensemble cutoff")
     coeffs = np.array(ensemble.coeffs)
     m = coeffs.shape[0]
-    for start in range(0, m, chunk_size):
-        sl = slice(start, min(start + chunk_size, m))
+    for start in range(0, m, _CHUNK_MEMBERS):
+        sl = slice(start, min(start + _CHUNK_MEMBERS, m))
         observe = functools.partial(observer, sl) if observer is not None else None
         try:
             coeffs[sl] = _run_padded(coeffs[sl], params, drv, params.n_steps, observe)
@@ -331,21 +333,19 @@ def _move(ensemble: Ensemble, params: FlowParams, drv: SpectralDrift, chunk_size
 
 
 def pushforward(ensemble: Ensemble, params: FlowParams,
-                drift_fn: Optional[SpectralDrift] = None,
-                chunk_size: int = 256) -> Ensemble:
+                drift_fn: Optional[SpectralDrift] = None) -> Ensemble:
     """Move member fields with the flow over [t, t + t_end]; weights unchanged.
 
     Weights transported along trajectories are exactly the time-t density at
     the member's current position, so they are reused bitwise.  The drift
     is `drift_fn` (the Euler drift when None), a `SpectralDrift` at the
-    flow's cutoff.  Members are stepped by `flow._run_padded` in chunks of
-    `chunk_size`, four drift evaluations per rk4 step; a failed step raises
-    `PushforwardError` naming its members.  rk4 results do not depend on the
-    partition; implicit midpoint results do, in the last bits (about 1e-12),
-    because the tolerance scales with the chunk's largest norm and the
-    sweeps run until the chunk's slowest member converges.
+    flow's cutoff.  Members are stepped by `flow._run_padded` in chunks,
+    four drift evaluations per rk4 step; a failed step raises
+    `PushforwardError` naming its members.  Every member moves bitwise as
+    `flow.evolve` moves it alone: the midpoint iteration stops member by
+    member, so neither the chunks nor the other members change a result.
     """
-    return _move(ensemble, params, _resolve_drift(drift_fn, params.cutoff), chunk_size)
+    return _move(ensemble, params, _resolve_drift(drift_fn, params.cutoff))
 
 
 @dataclass(frozen=True)
@@ -359,8 +359,7 @@ class WeakFormResult:
 
 
 def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
-                       drift_fn: Optional[SpectralDrift] = None,
-                       chunk_size: int = 256) -> WeakFormResult:
+                       drift_fn: Optional[SpectralDrift] = None) -> WeakFormResult:
     """Monte Carlo plus trapezoidal estimate of the transport-equation defect.
 
     Computes the time integral of (d_t F + <b_N(w), DF>) against the
@@ -370,11 +369,12 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
     lattice; the time quadrature contributes an O(dt^2) bias on top of the
     Monte Carlo error.
 
-    The members move as in `pushforward` (same drift argument, chunks and
-    errors) and the result carries them, bitwise `pushforward`'s.  The
-    integrand accumulates through an observer of `flow._run_padded`: the
-    drift b_N(w_k) of the pairing term is the step's k1, so an rk4 step
-    costs four drift evaluations and only the horizon adds one.
+    The members move as in `pushforward` (same drift argument and errors)
+    and the result carries them, bitwise `pushforward`'s.  The integrand
+    accumulates through an observer of `flow._run_padded`, which reads each
+    state as it passes and keeps none: the drift b_N(w_k) of the pairing
+    term is the step's k1, so an rk4 step costs four drift evaluations and
+    only the horizon adds one.
     """
     n = params.cutoff
     drv = _resolve_drift(drift_fn, n)
@@ -399,7 +399,7 @@ def weak_form_residual(ensemble: Ensemble, functional, params: FlowParams,
         if k == steps:
             totals[sl] += functional.value(0.0, pair_all0[sl])
 
-    moved = _move(ensemble, params, drv, chunk_size, observe)
+    moved = _move(ensemble, params, drv, observe)
     residual, se = _mean_se(ensemble.weights * totals)
     return WeakFormResult(residual=residual, std_error=se, n_samples=len(ensemble), dt=params.dt,
                           bounds=bounds, moved=moved)

@@ -519,7 +519,7 @@ def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
         ref = dual_pairing(drift(project(first, n), n), project(phi, n))
         if abs(ref - qs[n][0]) > 1e-9 * max(1.0, abs(ref)):
             raise AssertionError("structured pairing disagrees with drift route")
-    notes = ["structured pairing cross-checked against the drift route on the first chunk"]
+    notes = ["structured pairing cross-checked against the drift route on sample 0"]
     fro = {n: forms[n].frobenius_sq() for n in n_list}
     rows = []
     passed = True
@@ -695,10 +695,7 @@ def transport_battery(spec: MeasureSpec, params: FlowParams, tilt_phi: SpectralF
     r1, se1 = moved.weighted_mean(np.tanh(moved.pairings([obs_phi])[:, 0]))
     ent1, _ = moved.entropy()
     del moved
-    half = FlowParams(cutoff=params.cutoff, dt=params.dt / 2.0, t_end=params.t_end,
-                      integrator=params.integrator, midpoint_tol=params.midpoint_tol,
-                      midpoint_max_iter=params.midpoint_max_iter)
-    res_half = weak_form_residual(ensemble, functional, half)
+    res_half = weak_form_residual(ensemble, functional, replace(params, dt=params.dt / 2.0))
     c_hat = abs(res.residual - res_half.residual) / (0.75 * params.dt ** 2)
     bound = 3.0 * res.std_error + 1.25 * c_hat * params.dt ** 2
     residual_ok = abs(res.residual) <= bound

@@ -91,6 +91,16 @@ class TestConfigValidation:
         ("dirichlet_kernel", {"N_list": [2, 2]}, "N_list"),
         # a repeated exponent (exp_integrability wrote each of its rows twice)
         ("exp_integrability", {"M": 200, "N_list": [2, 4], "eps_list": [0.1, 0.1]}, "eps_list"),
+        # a non-finite float: an infinite dt ran 0 steps and passed, an
+        # infinite T raised OverflowError, an infinite eps wrote null rows,
+        # and NaN named only the params
+        ("invariance", {"N": 2, "M": 50, "T": 0.02, "dt": float("inf")}, "dt"),
+        ("invariance", {"N": 2, "M": 50, "T": float("inf"), "dt": 0.01}, "T"),
+        ("invariance", {"N": 2, "M": 50, "T": float("nan"), "dt": 0.01}, "T"),
+        ("invariance_negative", {"N": 2, "M": 50, "T": 0.02, "shift_amp": float("nan")},
+         "shift_amp"),
+        ("exp_integrability", {"M": 200, "N_list": [2, 4], "eps_list": [0.1, float("inf")]},
+         "eps_list[1]"),
     ])
     def test_entries_checked_before_any_battery_runs(self, tmp_path, capsys, name, params, field):
         # a valid entry first: nothing may run, and no output directory appear
@@ -313,6 +323,13 @@ class TestRun:
         assert targets["pushforward_route"] is None and targets["pullback_route"] is None
         manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
         assert manifest["version"] == enstrophy_lab.__version__
+
+    def test_package_version_matches_pyproject(self):
+        # the two are bumped by hand, together, whenever report bytes change
+        tomllib = pytest.importorskip("tomllib")
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with open(path, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == enstrophy_lab.__version__
 
 
 class TestBundledConfig:

@@ -12,6 +12,7 @@ from enstrophy_lab.measure import MeasureSpec, sample_batch
 from enstrophy_lab.flow import (
     FlowParams,
     StepFailure,
+    _step_midpoint,
     _step_rk4,
     divergence_check,
     enstrophy,
@@ -41,6 +42,21 @@ class TestFlowParams:
             FlowParams(cutoff=4, dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             FlowParams(cutoff=4, dt=1e-2, t_end=1.0, integrator="euler")
+
+    @pytest.mark.parametrize("name,value", [
+        # an infinite dt took 0 steps; an infinite t_end raised OverflowError
+        ("dt", float("inf")), ("dt", float("nan")),
+        ("t_end", float("inf")), ("t_end", float("nan")),
+        # max_iter 0 built, and its first midpoint step raised UnboundLocalError
+        ("midpoint_max_iter", 0), ("midpoint_max_iter", -1),
+        ("midpoint_tol", 0.0), ("midpoint_tol", -1e-12),
+        ("midpoint_tol", float("inf")), ("midpoint_tol", float("nan")),
+    ])
+    def test_rejects_non_finite_and_midpoint_settings(self, name, value):
+        kwargs = dict(cutoff=4, dt=1e-2, t_end=1e-2)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            FlowParams(**kwargs)
 
 
 class TestStep:
@@ -90,6 +106,23 @@ class TestStep:
         with pytest.raises(StepFailure, match="did not converge in 2 iterations") as info:
             step(w, p)
         assert info.value.iterations == 2
+
+    def test_midpoint_members_stop_and_fail_alone(self):
+        # a shear fixed point converges at the first sweep and leaves the
+        # later ones; a failure names only the member that failed
+        shear = SpectralField.from_modes(4, {(1, 0): 0.5}).coeffs
+        w = white_field(4, np.random.default_rng(3)).coeffs
+        drv = SpectralDrift(4)
+        members = []
+        padded_drift = drv.padded_drift
+        drv.padded_drift = lambda s: members.append(s.shape[0]) or padded_drift(s)
+        out = _step_midpoint(np.stack([shear, w]), 1e-2, drv, 1e-12, 50)
+        assert members[:2] == [2, 2] and set(members[2:]) == {1}
+        assert np.array_equal(out[0], shear)
+        for dt, max_iter, what in ((5.0, 10, "diverged"), (1e-2, 2, "did not converge")):
+            with pytest.raises(StepFailure, match=what) as info:
+                _step_midpoint(np.stack([shear, w]), dt, drv, 1e-12, max_iter)
+            assert info.value.member_mask.tolist() == [False, True]
 
 
 class TestEvolve:

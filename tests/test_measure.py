@@ -10,7 +10,8 @@ import pytest
 from enstrophy_lab.cylinder import CylinderFunctional, bounded_window, ramp_down
 from enstrophy_lab.dynamics import SpectralDrift
 from enstrophy_lab.fields import SpectralField, sobolev_norm, validate_field
-from enstrophy_lab.flow import FlowParams
+from enstrophy_lab import measure
+from enstrophy_lab.flow import FlowParams, evolve
 from enstrophy_lab.measure import (
     Ensemble,
     GaussianTilt,
@@ -31,6 +32,12 @@ from enstrophy_lab.measure import (
 
 SPEC = MeasureSpec(cutoff=4, seed=123)
 PHI = SpectralField.from_modes(1, {(1, 0): 0.5})  # cos(2 pi x1), norm^2 = 1/2
+
+
+@pytest.fixture
+def chunk32(monkeypatch):
+    """Step ensembles in chunks of 32 members (256 otherwise)."""
+    monkeypatch.setattr(measure, "_CHUNK_MEMBERS", 32)
 
 
 class TestSampler:
@@ -252,17 +259,25 @@ class TestEnsembleTransport:
         r2, se2 = float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(count))
         assert abs(r1 - r2) <= 3 * np.hypot(se1, se2)
 
-    @pytest.mark.parametrize("integrator", [
-        "rk4",
-        pytest.param("implicit_midpoint", marks=pytest.mark.xfail(
-            strict=True, reason="the midpoint iteration stops per chunk, not per member")),
-    ])
-    def test_chunk_partition_keeps_bytes(self, integrator):
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
+    def test_chunk_partition_keeps_bytes(self, integrator, monkeypatch):
         e = init_ensemble(MeasureSpec(cutoff=8, seed=123), UniformDensity(), 128)
         p = FlowParams(cutoff=8, dt=1e-2, t_end=2e-2, integrator=integrator)
-        small = pushforward(e, p, chunk_size=32)
-        whole = pushforward(e, p, chunk_size=128)
+        whole = pushforward(e, p)
+        monkeypatch.setattr(measure, "_CHUNK_MEMBERS", 32)
+        small = pushforward(e, p)
         assert np.array_equal(small.coeffs, whole.coeffs)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
+    def test_members_move_as_if_alone(self, integrator):
+        # each member's bytes are those of integrating it by itself: the
+        # midpoint iteration stops member by member, not chunk by chunk
+        e = init_ensemble(MeasureSpec(cutoff=8, seed=123), UniformDensity(), 40)
+        p = FlowParams(cutoff=8, dt=1e-2, t_end=2e-2, integrator=integrator)
+        out = pushforward(e, p)
+        for i in range(len(e)):
+            alone = evolve(SpectralField(8, e.coeffs[i]), p, record_stride=p.n_steps).final
+            assert np.array_equal(out.coeffs[i], alone.coeffs), i
 
     @pytest.mark.parametrize("entry", ["pushforward", "weak_form_residual"])
     def test_divergent_step_reports_members(self, entry):
@@ -354,28 +369,30 @@ def _cylinder(horizon):
 
 
 # sha256 digests recorded before weak_form_residual moved to the padded
-# core; M=70 with chunk_size=32 leaves a 6-member tail chunk.  Keys are
+# core; M=70 in chunks of 32 leaves a 6-member tail chunk.  Keys are
 # (integrator, drift): "default" is SpectralDrift(4), "shifted" a shifted,
-# time-reversed SpectralDrift.
+# time-reversed SpectralDrift.  The implicit_midpoint digests were
+# re-recorded when the midpoint iteration began to stop member by member.
 PUSHFORWARD_DIGESTS = {
     ("rk4", "default"): "f82fd1c519c9930732ffa97bc48321885f26e8f0645794e5783646774b00acce",
-    ("implicit_midpoint", "default"): "e2918547a6f4dc6317d43313a0a9847afb31f145d73a4fb7ad43c032a0247b78",
-    ("implicit_midpoint", "shifted"): "d1d958dd1bcb3e53c4b6c323997704495235fa6ecbf50efe729cb328fe53599d",
+    ("implicit_midpoint", "default"): "9a02bb19187833c69d84d52f817a24a8702d8b79e3a61b8cb6048386c1f4f049",
+    ("implicit_midpoint", "shifted"): "fd3c67beec711bce8a1887bbc96f5832b0301c744849bfb919fd476fcb316699",
 }
 WEAK_FORM_DIGESTS = {
     ("rk4", "default"): "b111891f1488ef399b12de92fdddb2fc0c5c24c02880c6d791316412eefe0bb5",
-    ("implicit_midpoint", "default"): "ed039e837b42ea590963bfe2189c607fe3059deed09c4234a498487847f3335c",
+    ("implicit_midpoint", "default"): "6c42f1dd8b14f2d5afad78f0787559abe7ec082ed638a08bab48399d11b09ba1",
     ("rk4", "shifted"): "8b96d51672e5049ee73b9e033d881dfea67f072d1f847b47633ea49bb10d165e",
-    ("implicit_midpoint", "shifted"): "e1902e04d2f0e0b19f034737867256dcd75e55011911ec199a01ee1d83c25173",
+    ("implicit_midpoint", "shifted"): "5614891867a3598d0b186e91a92dde22d2c8998fb203ca26d2a079eb224eacf9",
 }
 
 
+@pytest.mark.usefixtures("chunk32")
 class TestTransportBytes:
     @pytest.mark.parametrize("integrator,kind", list(PUSHFORWARD_DIGESTS))
     def test_pushforward_golden_bytes(self, integrator, kind):
         e = init_ensemble(TRANSPORT_SPEC, GaussianTilt(PHI), 70)
         p = FlowParams(cutoff=4, dt=1e-2, t_end=0.05, integrator=integrator)
-        out = pushforward(e, p, drift_fn=_transport_drift(kind), chunk_size=32)
+        out = pushforward(e, p, drift_fn=_transport_drift(kind))
         digest = hashlib.sha256(out.coeffs.tobytes()).hexdigest()
         assert digest == PUSHFORWARD_DIGESTS[(integrator, kind)]
 
@@ -383,7 +400,7 @@ class TestTransportBytes:
     def test_weak_form_golden_bytes(self, integrator, kind):
         e = init_ensemble(TRANSPORT_SPEC, GaussianTilt(PHI), 70)
         p = FlowParams(cutoff=4, dt=1e-2, t_end=0.05, integrator=integrator)
-        res = weak_form_residual(e, _cylinder(0.05), p, drift_fn=_transport_drift(kind), chunk_size=32)
+        res = weak_form_residual(e, _cylinder(0.05), p, drift_fn=_transport_drift(kind))
         assert _weak_form_digest(res) == WEAK_FORM_DIGESTS[(integrator, kind)]
 
     @pytest.mark.parametrize("entry", ["pushforward", "weak_form_residual"])
@@ -407,8 +424,8 @@ class TestTransportBytes:
         # ensemble is bitwise pushforward's, tail chunk included
         e = init_ensemble(TRANSPORT_SPEC, GaussianTilt(PHI), 70)
         p = FlowParams(cutoff=4, dt=1e-2, t_end=0.05, integrator=integrator)
-        moved = weak_form_residual(e, _cylinder(0.05), p, chunk_size=32).moved
-        out = pushforward(e, p, chunk_size=32)
+        moved = weak_form_residual(e, _cylinder(0.05), p).moved
+        out = pushforward(e, p)
         assert np.array_equal(moved.coeffs, out.coeffs)
         assert moved.t == out.t == 0.05
         assert np.array_equal(moved.weights, e.weights)
@@ -425,10 +442,10 @@ class TestTransportBytes:
         e = init_ensemble(TRANSPORT_SPEC, GaussianTilt(PHI), 70)
         p = FlowParams(cutoff=4, dt=1e-2, t_end=0.1, integrator="rk4")
         if entry == "pushforward":
-            pushforward(e, p, drift_fn=drv, chunk_size=32)
+            pushforward(e, p, drift_fn=drv)
             per_chunk = 4 * p.n_steps
         else:
-            weak_form_residual(e, _cylinder(0.1), p, drift_fn=drv, chunk_size=32)
+            weak_form_residual(e, _cylinder(0.1), p, drift_fn=drv)
             per_chunk = 4 * p.n_steps + 1
         assert len(members) == 3 * per_chunk
         assert sum(members) == 70 * per_chunk
