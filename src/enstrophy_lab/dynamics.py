@@ -29,6 +29,7 @@ ensembles evolve vectorized; all operations are pure.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -141,11 +142,12 @@ def curl(v: VelocityField) -> SpectralField:
 
 
 def dealias_grid_size(cutoff: int) -> int:
-    """Smallest power of two >= 3N+2: quadratic products project exactly."""
-    g = 1
-    while g < 3 * cutoff + 2:
-        g *= 2
-    return g
+    """Smallest FFT-friendly size >= 3N+1: quadratic products project exactly.
+
+    A product of two cutoff-N fields has modes up to 2N, and on a grid of
+    size G mode k folds onto k - G, a retained mode only when G <= 3N.
+    """
+    return scipy.fft.next_fast_len(3 * cutoff + 1)
 
 
 def _drift_multipliers(cutoff: int):
@@ -189,13 +191,14 @@ class SpectralDrift:
     makes negative controls and sign -1 reverses time.  The padded-layout
     multiplier tables are precomputed, so integrators pad a state once and
     step it there; `padded_drift` consumes and produces the padded layout,
-    and calling the instance on lattice tables pads and unpads.  Each
-    velocity component is paired with the matching vorticity derivative in
-    one complex transform: both are real fields, so the real and imaginary
-    parts of the synthesized grid separate them exactly.  The two
-    transform inputs live in per-thread scratch buffers kept for the
-    latest batch shape, so one instance may be shared between threads and
-    every call returns a fresh array.
+    and calling the instance on lattice tables pads and unpads.  On the
+    grid of `dealias_grid_size`, at least 3N+1, the masked product is
+    exact.  Each velocity component is paired with the matching vorticity
+    derivative in one complex transform: both are real fields, so the real
+    and imaginary parts of the synthesized grid separate them exactly.  The
+    transform inputs are leading slices of a per-thread scratch pair sized
+    by the largest batch seen, so one instance may be shared between
+    threads and every call returns a fresh array.
     """
 
     def __init__(self, cutoff: int, shift: Optional[np.ndarray] = None, sign: float = 1.0):
@@ -225,11 +228,14 @@ class SpectralDrift:
         return extract_layout(padded, self.cutoff)
 
     def _buffers(self, shape: tuple) -> tuple:
+        count = math.prod(shape[:-2])
         local = self._scratch
-        if getattr(local, "shape", None) != shape:
-            local.shape, local.bufs = shape, None  # free the old pair before allocating
-            local.bufs = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
-        return local.bufs
+        if getattr(local, "count", 0) < count:
+            local.bufs = None  # free the old pair before allocating
+            local.bufs = tuple(np.empty((count,) + shape[-2:], dtype=complex) for _ in range(2))
+            local.count = count
+        # a leading slice of a C-contiguous array is contiguous: overwrite_x holds
+        return tuple(buf[:count].reshape(shape) for buf in local.bufs)
 
     def padded_drift(self, state_pad: np.ndarray) -> np.ndarray:
         workers = fft_workers()

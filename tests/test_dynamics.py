@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from enstrophy_lab import dynamics
 from enstrophy_lab.dynamics import (
     DenseForm,
     InvariantViolation,
     SpectralDrift,
+    _drift_direct,
     _euler_drift,
     biot_savart,
     curl,
@@ -134,10 +136,23 @@ class TestDrift:
         assert np.all(drift(w, 0).coeffs == 0)
 
     def test_grid_size_rule(self):
-        assert dealias_grid_size(2) == 8
-        assert dealias_grid_size(8) == 32
-        assert dealias_grid_size(10) == 32
-        assert dealias_grid_size(16) == 64
+        assert dealias_grid_size(2) == 7
+        assert dealias_grid_size(8) == 25
+        assert dealias_grid_size(12) == 40
+        assert dealias_grid_size(16) == 49
+
+    @pytest.mark.parametrize("cutoff", [2, 4, 8])
+    def test_grid_size_is_tight(self, cutoff, rng, monkeypatch):
+        # 3N folds mode 2N onto -N and aliases; 3N+1 is the smallest exact grid
+        w = white_field(cutoff, rng).coeffs
+        exact = _drift_direct(w, cutoff)
+        scale = np.abs(exact).max()
+        for size, exact_grid in ((3 * cutoff, False), (3 * cutoff + 1, True)):
+            monkeypatch.setattr(dynamics, "dealias_grid_size", lambda n, size=size: size)
+            drv = SpectralDrift(cutoff)
+            assert drv.size == size
+            err = np.abs(drv(w) - exact).max()
+            assert (err <= 1e-12 * scale) if exact_grid else (err > 1e-6 * scale)
 
     def test_spectral_drift_callable_matches(self, rng):
         w = white_field(5, rng)
@@ -180,20 +195,22 @@ def _padded_case(cutoff: int, sign: float, shifted: bool, count: int = 5):
 
 
 # sha256 of padded_drift output bytes, recorded before the drift reused
-# scratch buffers; keys are (cutoff, sign, shifted)
+# scratch buffers and re-recorded with 0.5.0, whose grids of size
+# next_fast_len(3N+1) move the last bits of every drift; keys are
+# (cutoff, sign, shifted)
 PADDED_DRIFT_DIGESTS = {
-    (4, 1.0, False): "a50e13543428a27797afd9680575351a84256740bdf64947364cc679e9e464c9",
-    (4, -1.0, False): "a357e4f1987dc6f3cf2a40cbefe9e138e904e3e91df7142d6381de3cd46cad14",
-    (4, 1.0, True): "1f81bae3e526813404bd4ca6cfc9bfdafa0fa1c7f351616aad47d09db76169ff",
-    (4, -1.0, True): "8d3aeeb6049580a6e1a0bf46ea7f0e5873afeb6d36c91784f8155cd8fda371bb",
-    (8, 1.0, False): "808fbce0956d2203d9f0a445c4ea12a3157bd0e283d785c5960781c079c4c9b8",
-    (8, -1.0, False): "3d4da34f01677d5b58869df33c412f4b2ad24c23228381d9d8872119401974a4",
-    (8, 1.0, True): "24c724b6a364b533d4bea1c7036e0f4bc7464f0277794691feacb3ff097f17e7",
-    (8, -1.0, True): "1d10b8a449b7fe1869045715f1f858f1d327cea717a65f2c82c8925bb1b5abab",
-    (16, 1.0, False): "e87b9a88a89d8407e7dad07455213c4c791ae9bc9e3d6e9d36a5b764eaa7677c",
-    (16, -1.0, False): "672b9f87704a3cdcefdba7abf394bcf588c517728e3a997d449faafa78d50499",
-    (16, 1.0, True): "64323224158c1a505ae9f702c0da52657de88b0a287e61bf0fb5b9a35bfcc97a",
-    (16, -1.0, True): "16d4aac38e26d16cbbc94dd569b86cb2add4a89d8640547a8762ae46075608b4",
+    (4, 1.0, False): "18c43a9a03de22fe87b274f59b28747cecf1403fdb5af01523746794d18cf390",
+    (4, -1.0, False): "8e2ff6487c011e055078127b8568f09e30d5daed1480089b8dd80a8b3dab4aed",
+    (4, 1.0, True): "f6bb4829e65e795d1cb1f8d3b727bfb4e65132d979d917286566942c81a079fe",
+    (4, -1.0, True): "4cfd06b3abce5157a91c7ad54f7efe3bdf0584995ee5fd5075bee8a77726c4f9",
+    (8, 1.0, False): "2b49e66e2dc8a27cb67e118b9334f75de2cea3022e24f05d44cbeadba495c3b5",
+    (8, -1.0, False): "cbd04e36aad7839bba0a8ab73557c5762179d74a5f0a9738f539625b9870361f",
+    (8, 1.0, True): "3d41a7f4654f976f12360d8fa77deb59364f496ce988dd5a71f965e0be003859",
+    (8, -1.0, True): "d50f9011a24e1de2fc410cfc7d83714928760a4ccad35719a918f101c434e765",
+    (16, 1.0, False): "131bd3c905a8c05fd5480553f9a099fe0aec3c2a0d1099705fcfc94da0f0821e",
+    (16, -1.0, False): "0ed0579ed5cf45a31f2caea43ba0504a28b1db958c06dd950070ffc3fed33166",
+    (16, 1.0, True): "af55e1778c509220696dcbde8bc2795a6a5517d23185ef02bb959db0993f4d4d",
+    (16, -1.0, True): "307a3cc6f9eaba8df548829b361d359f4fd2ddc7332ddb14c0da78ea66b0697d",
 }
 
 
@@ -218,6 +235,13 @@ class TestPaddedDriftBytes:
         assert np.array_equal(again, kept)
         assert np.array_equal(drv.padded_drift(state[:3]), kept[:3])
         assert np.array_equal(drv.padded_drift(state[0]), kept[0])
+
+    def test_scratch_reuse_keeps_bytes(self):
+        # a small batch runs in slices of the scratch that a large one sized
+        drv, state = _padded_case(8, -1.0, True, count=256)
+        drv.padded_drift(state)
+        fresh = SpectralDrift(8, shift=drv.shift, sign=-1.0)
+        assert np.array_equal(drv.padded_drift(state[:3]), fresh.padded_drift(state[:3]))
 
     def test_input_left_untouched(self):
         drv, state = _padded_case(8, 1.0, False)

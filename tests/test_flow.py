@@ -118,7 +118,10 @@ class TestStep:
         drv.padded_drift = lambda s: members.append(s.shape[0]) or padded_drift(s)
         out = _step_midpoint(np.stack([shear, w]), 1e-2, drv, 1e-12, 50)
         assert members[:2] == [2, 2] and set(members[2:]) == {1}
-        assert np.array_equal(out[0], shear)
+        # the shear's bytes are its own step's; off a power-of-two grid its
+        # drift is round-off (9.5e-18 in the zero mode) rather than exact zeros
+        assert np.array_equal(out[0], _step_midpoint(shear[None], 1e-2, SpectralDrift(4), 1e-12, 50)[0])
+        assert np.abs(out[0] - shear).max() <= 1e-2 * 1e-15
         for dt, max_iter, what in ((5.0, 10, "diverged"), (1e-2, 2, "did not converge")):
             with pytest.raises(StepFailure, match=what) as info:
                 _step_midpoint(np.stack([shear, w]), dt, drv, 1e-12, max_iter)
@@ -220,58 +223,60 @@ def _golden_digest(entry, integrator, kind, cutoff):
 
 
 # sha256 of step output, and of evolve/evolve_backward states, times and
-# diagnostics, recorded before every integrator moved to the padded layout.
+# diagnostics, recorded before every integrator moved to the padded layout
+# and re-recorded with 0.5.0, whose smaller dealiasing grids move the last
+# bits of every drift.
 # Keys are (entry, integrator, drift, cutoff); "reversed" is sign -1 and
 # "shifted" adds a constant table.
 FLOW_DIGESTS = {
-    ("step", "rk4", "default", 4): "4ead49a5db3029741efe4c6520ec9ba93fdce5029f5929d4d07a49c560bcb6f9",
-    ("step", "rk4", "default", 8): "7380cea60d1805b1b3e62f49d38afbc8a4f39e1eb6917192bf5353842a5ae91c",
-    ("step", "rk4", "reversed", 4): "2eea65cf41f5e51a3a53edacb4751e1c4873e8d4738bc9d26a959fb0faa66519",
-    ("step", "rk4", "reversed", 8): "690b6f253fbecb900111a08ec70a3fd2cdcdf5a122c9e113053bb8bcf10363ca",
-    ("step", "rk4", "shifted", 4): "b4f0ba8f6a42b969c0c9d3932d1c4fbc523bb79ab345212cf11f79a1315079f2",
-    ("step", "rk4", "shifted", 8): "7895af6e92a9e24c9b62bcefe6375c6f0bf5653d13f9bf8d3f30c7568b51cda0",
-    ("step", "rk4", "shifted_reversed", 4): "d5cbe563294b93ae787a63f16374eacd3286b0667159a3ad76d7aa2108cea7f2",
-    ("step", "rk4", "shifted_reversed", 8): "5a212b41cd36c70c18aa48ad9eb9a194a2f26290f86aaeff5cd07a9179175bd7",
-    ("step", "implicit_midpoint", "default", 4): "9e779e76afc394599efc073961c7292d506a7f961475c72b3ae6d86f3965f131",
-    ("step", "implicit_midpoint", "default", 8): "e750595e22ee8f996deba1982fed55e1bee50a7f8e696cd46963e68345bf4f09",
-    ("step", "implicit_midpoint", "reversed", 4): "b6fdfcfe14fba1e6529cf4393deb04051b514fd1c8140f2e6df36938aa2a8ce7",
-    ("step", "implicit_midpoint", "reversed", 8): "6d488e48d66497340f5e9bb0f10c55cb9ab140a52b799c1ca7e4ba48601a2c71",
-    ("step", "implicit_midpoint", "shifted", 4): "c3a3b48d7a60b120bb4ddcefcc23fdda1f2aa9670d9961633ed846eba07dae0c",
-    ("step", "implicit_midpoint", "shifted", 8): "0e706b6754de32390480ed35f66f0991f4a1c477d72720c595781e0e6fed1280",
-    ("step", "implicit_midpoint", "shifted_reversed", 4): "74d220539df20d1be5cb35acc585e6fdac0bc55d2d042a5ce110073241d4d290",
-    ("step", "implicit_midpoint", "shifted_reversed", 8): "6ab3f6c2db7ed4992206292d324345a2e17308bab8750199f735cf3a5b43370c",
-    ("evolve", "rk4", "default", 4): "6a16d0906cf1b13a41fd35f86621a0eb9e0d875e87776a6672bb784533c78522",
-    ("evolve", "rk4", "default", 8): "adcab051f67f0d7ef7fff32286ef05c5a9aba69a7c6dd6d1fd15d3ed49073371",
-    ("evolve", "rk4", "reversed", 4): "84daade920524a58a96968df84c6b44794816c70726944d304e2603fa6b7a360",
-    ("evolve", "rk4", "reversed", 8): "a1d7aa0ad4d22d17f3bb8024520a36321dd1369a9ebecfb19c7ac844e8f0a7ef",
-    ("evolve", "rk4", "shifted", 4): "bd45318fe1d6fdab4ec7f89278c8a81ea441eeb8623ff433ef0f5c41dc38dc84",
-    ("evolve", "rk4", "shifted", 8): "516328e5f6fbc7d730689bf4071f4948096c60ec4a44f9b965ed18de6bd5db14",
-    ("evolve", "rk4", "shifted_reversed", 4): "39134866a99d75dd33d75ba87a9b7f721be466893ad5b91fb41e6ac74baee2ae",
-    ("evolve", "rk4", "shifted_reversed", 8): "01e861826464894cebc684a376e55bb3be0e4dc9c45e4eb88dba47fd7272755d",
-    ("evolve", "implicit_midpoint", "default", 4): "22fa3bfc5831ce83de17f3ee69aff26bd43551f8f5e99d1e338922c7e8c1044f",
-    ("evolve", "implicit_midpoint", "default", 8): "547f322d94d6e02f69920d39339486727d856756445bbbdb8924e9af66af2130",
-    ("evolve", "implicit_midpoint", "reversed", 4): "5a6461f1e41c22fe61233dba01829c4251c832405f2a31a1b14b3677ca38dda3",
-    ("evolve", "implicit_midpoint", "reversed", 8): "ecc3c7a378973cc56a17882cc4f38d2035711cec1599c2e8a8c67502c486b966",
-    ("evolve", "implicit_midpoint", "shifted", 4): "e62e88c98b9d2c742a767a44b89332fbc5439154248746839f733a12307753a9",
-    ("evolve", "implicit_midpoint", "shifted", 8): "64122e9182f787c44c8817bd4e79b29a851bd32e0f7b1d7055db4b30d61c87d3",
-    ("evolve", "implicit_midpoint", "shifted_reversed", 4): "5981ec34718e127ee151b147cec5b0b967138d008187ce5797d626dedd020e47",
-    ("evolve", "implicit_midpoint", "shifted_reversed", 8): "666ad738faa80245e37ffec8bfc7f98e1dadf87a433425fab0551c336e92eb2f",
-    ("evolve_backward", "rk4", "default", 4): "ba23cdbbc53fa39f39fd50e4053c235c8f2bbdfe19eecfe9625da55a1dae86ec",
-    ("evolve_backward", "rk4", "default", 8): "ba172c5ca4516842130198aed4af968483e78647d55f12784c1bbe12a4042d83",
-    ("evolve_backward", "rk4", "reversed", 4): "ec9161bf47024482b80d1b93ef41b6cbcbab56db36e1eef552f3feaf776d82d5",
-    ("evolve_backward", "rk4", "reversed", 8): "4c8b4679e7e9f4a6f3af196785347171aa2026ed848ebbcf2067135962d025c5",
-    ("evolve_backward", "rk4", "shifted", 4): "56258a610a61e6e97ad351924f41dbb267efaf65706bc1bd0fafd84516f25f56",
-    ("evolve_backward", "rk4", "shifted", 8): "f669210d23b30574531cdfcea15b34a6d46abc8e32cb91ec0606bbc6df2261d1",
-    ("evolve_backward", "rk4", "shifted_reversed", 4): "3078dcec9a2a3229abeeb40c0b8d1f551f3e9cb75c46a2ea2b6f965f5d0a284f",
-    ("evolve_backward", "rk4", "shifted_reversed", 8): "75b5cedf264d4d58ec0870a3a99acc9cf5308b98e0a19fa9f15830f11d61d1cb",
-    ("evolve_backward", "implicit_midpoint", "default", 4): "846cdc4366f38c0637c943a74fe844c1e6d0c7943155903bea7827e46dfc6ba1",
-    ("evolve_backward", "implicit_midpoint", "default", 8): "6fd7df792c8bd1ac6cba3c848b0056a477c0a38b384068b1653a53117f021a56",
-    ("evolve_backward", "implicit_midpoint", "reversed", 4): "8ab5ef8a0b234a2d66cbca8431e9077dcdd8e9fdf62427f047fe79f4b5f2ca4c",
-    ("evolve_backward", "implicit_midpoint", "reversed", 8): "5458e71cec966b5678acf31b45e5000807f217297ee9d601650bbcf8ede95b2f",
-    ("evolve_backward", "implicit_midpoint", "shifted", 4): "04705cb6c355254102a5abe06a7e7c7a240f746d49fb1ac3083eb90b98504363",
-    ("evolve_backward", "implicit_midpoint", "shifted", 8): "e651439906d2192966aa521348114e3f489e7c3cf5547154df2ae0bbb252f24b",
-    ("evolve_backward", "implicit_midpoint", "shifted_reversed", 4): "5ac68388f713e256b41a2cc9d2bdb6de3f8444148d54abaa10afdce300b340d8",
-    ("evolve_backward", "implicit_midpoint", "shifted_reversed", 8): "74a6ed0ef729a194358a3abe4dc2c240d93583de59b8f779d16721762bb9b973",
+    ("step", "rk4", "default", 4): "6247e867d263cb78619086a5fb2b333846a9f66aa06253c4c0c6f6a9215425bd",
+    ("step", "rk4", "default", 8): "44aae50ebaf3db53fbe5cb926810938bf7ec6edaac30b0e56b5ceb2d2017cae8",
+    ("step", "rk4", "reversed", 4): "42acac8aa7582f81ae4fae76943f91c6efed9bd0cecdf81eb8416050824c48c6",
+    ("step", "rk4", "reversed", 8): "25b37144f5552bf600b377c7d4830ad911eea35a082ee4e7d858972a677ad967",
+    ("step", "rk4", "shifted", 4): "f3dceb592c915807241498d4033dc95fbbf2d1d746e8fe657ef5a718bcfca0ab",
+    ("step", "rk4", "shifted", 8): "8219e42bd328518829a66d3e3047db0a63f37be7c42b9245c285bdc8823a8dd2",
+    ("step", "rk4", "shifted_reversed", 4): "ee4e98687bc3525deff51da39ee94018ec9b675271eff358c0dd765e1c9979bf",
+    ("step", "rk4", "shifted_reversed", 8): "13c09b9be7f4dd17d8eb7254699fab2c154ab2a55f11a9a01d52aa705fe113a3",
+    ("step", "implicit_midpoint", "default", 4): "3f7badc2f53583b13be045f12c9a88d3bb56f767fea10209d0c6af2eef09bd25",
+    ("step", "implicit_midpoint", "default", 8): "c1ece4daf9586d881cabea84f567a62305441abf823d32eae46df31ba80e90cb",
+    ("step", "implicit_midpoint", "reversed", 4): "b0f4bc6c69cd66641d6b042c7956299cf99b4a4198b4a0975a6630147a49bb74",
+    ("step", "implicit_midpoint", "reversed", 8): "148f155f0db1ecb6a109215faf7dc77c438bc8a5aa71267714ac9fdf933c49fc",
+    ("step", "implicit_midpoint", "shifted", 4): "7a5c5e8b130c521ec3993af351f8d010587e441a0fea0e4f1d5021ff4a2b8842",
+    ("step", "implicit_midpoint", "shifted", 8): "52565ba70b8491777881b686ecd0ffc48948b09f49972116ecb218c2cc8b993c",
+    ("step", "implicit_midpoint", "shifted_reversed", 4): "f6cefee330dd7b6f45effa632e79580f92570519c24930256f88584d8acb3ab5",
+    ("step", "implicit_midpoint", "shifted_reversed", 8): "8d31d8a42fe7d28c233e781d9efc4e39fc899d41e2d45096ee6276e7a2ab8daa",
+    ("evolve", "rk4", "default", 4): "184b35de229a8d67ef8d7583af9ff535ea78164910181bcfae2c8982208f4b33",
+    ("evolve", "rk4", "default", 8): "7256a1b0bf58690d3479c13951c25e72bbdb28577e5078a59b05dbed08df2b68",
+    ("evolve", "rk4", "reversed", 4): "e671e36a452025efa83fdf1f782f6b9f19e5734a9bf28a2259d42acb6f9ee3a3",
+    ("evolve", "rk4", "reversed", 8): "538621613e1bc761598ef53569adb84eb593022fe4875e0fb8dc9d207edc4349",
+    ("evolve", "rk4", "shifted", 4): "55c2904b6cc2f34885b39739288fff820622ee1296944957866fd4ccd7c8f6c3",
+    ("evolve", "rk4", "shifted", 8): "53a04d4b26b61a64b027ced54ef388c848d1f210689741f49d9603afb128cceb",
+    ("evolve", "rk4", "shifted_reversed", 4): "34a2a14b91fc4e7bd749ce3799ce34a4ffa821eb22820fab571f8cd7feb1ff8d",
+    ("evolve", "rk4", "shifted_reversed", 8): "b1eb6123bf0cd7b181e0cb177bd16753f6b5fd99df94efa7137e0e8623bb40f3",
+    ("evolve", "implicit_midpoint", "default", 4): "5f385d3493ad82291a5b47a44dd110d4963abbdffdd005830ed5141d0f866142",
+    ("evolve", "implicit_midpoint", "default", 8): "41076b46f5e9ac1e14da719ce23183a5915108534872e85484463660f66f3ca5",
+    ("evolve", "implicit_midpoint", "reversed", 4): "1592d4829c0192b878942da6bdd559ff9c93c15f5d7a8b92ae01f88aa827223b",
+    ("evolve", "implicit_midpoint", "reversed", 8): "58001cea3d6ac9600d3abc3b2724657ef36a47cf51a73032b7ed71925d6bd0d6",
+    ("evolve", "implicit_midpoint", "shifted", 4): "9454d33ca882c496061608546d72b468ee42a02d2d3dc2ca48bcca0b18348b6d",
+    ("evolve", "implicit_midpoint", "shifted", 8): "e308cc102e6d9c39609923031acb081ea1f32900e92ec19d9cb8ae2ef1ac8c3d",
+    ("evolve", "implicit_midpoint", "shifted_reversed", 4): "3ca3300e849ab98d72ec3e37b9a3b654ff91f20f19a86f8b9b373940e292525e",
+    ("evolve", "implicit_midpoint", "shifted_reversed", 8): "8db348d8bfcdb4c545b5c4d6313abb815897bb633f71ffffc81945ec64995a47",
+    ("evolve_backward", "rk4", "default", 4): "1e055591f2a7b14bdbf62d514207236d7c02a6c750cc56399bfb7a2c4c1629ee",
+    ("evolve_backward", "rk4", "default", 8): "89aec91bf88e92db7d1242f53cc695745c13731472ee6fb092f8963c039d2f7c",
+    ("evolve_backward", "rk4", "reversed", 4): "02cb0acaab06a110004abca7602d735a0527686bb24b2d083becc440b5c514f7",
+    ("evolve_backward", "rk4", "reversed", 8): "75e33fdfb2f3e53202b842689c862aba3a784ce7defa8fac2ec5da2e49fdcac5",
+    ("evolve_backward", "rk4", "shifted", 4): "a1fb04eab2978165be51af6d39a72f5e34f64673a02c593d87465a0477febf73",
+    ("evolve_backward", "rk4", "shifted", 8): "f469c2c07bca01b51ee01889d122c19e1369bded5624321e9d44cec42a96ac24",
+    ("evolve_backward", "rk4", "shifted_reversed", 4): "fedbb080f3ce502fb2240e3eabda95e581ac36e0a52e84db89e065502c3557c0",
+    ("evolve_backward", "rk4", "shifted_reversed", 8): "aa9cfeef0022b9b0d0f74f6fd2399b53d688496d933ee72354104ea68d619993",
+    ("evolve_backward", "implicit_midpoint", "default", 4): "905317a2c45877c1a9492907336ad989a4a4d9da66af8596a9d45eca11995e87",
+    ("evolve_backward", "implicit_midpoint", "default", 8): "019b45d335639dd180d3c631a52402116f5373db88072aaea70ee5b3b48a4fdd",
+    ("evolve_backward", "implicit_midpoint", "reversed", 4): "0a9aef49ec69bfe7874daa3bcd7cc9f8232f2b9f2bfc2f83ecbece2e2d5dc6cb",
+    ("evolve_backward", "implicit_midpoint", "reversed", 8): "16b325ee8baf3ea6904eeaa18e6dea83432ee0eb344c00056570e6739602b598",
+    ("evolve_backward", "implicit_midpoint", "shifted", 4): "462af692a835158ccc95ce27d75d7fbf1516f9ef9a56bc1b8aa5063348a592ac",
+    ("evolve_backward", "implicit_midpoint", "shifted", 8): "964be0b2981580394601edd9fced43c33ba2559a81825d81d21fd0fd234e9eb7",
+    ("evolve_backward", "implicit_midpoint", "shifted_reversed", 4): "0cd91eee4ebd3bb0abf07a33ec6e8663700962edf422060669a135c4b833c88d",
+    ("evolve_backward", "implicit_midpoint", "shifted_reversed", 8): "8476045be975055a5ee025ce5ce51b2117af901d2865d6a16c247e80d72a9272",
 }
 
 
