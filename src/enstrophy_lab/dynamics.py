@@ -211,6 +211,7 @@ class SpectralDrift:
         d = 2 * cutoff + 1
         mask = embed_layout(np.ones((d, d)), self.size).real
         self._out_scale = -(self.size * self.size) * mask
+        self._out_scale[0, 0] = 0.0  # the exact drift has zero mean
         self._scratch = threading.local()
         if shift is not None:
             shift = np.asarray(shift, dtype=complex)
@@ -230,10 +231,10 @@ class SpectralDrift:
     def _buffers(self, shape: tuple) -> tuple:
         count = math.prod(shape[:-2])
         local = self._scratch
-        if getattr(local, "count", 0) < count:
-            local.bufs = None  # free the old pair before allocating
-            local.bufs = tuple(np.empty((count,) + shape[-2:], dtype=complex) for _ in range(2))
-            local.count = count
+        if getattr(local, "count", -1) < count:
+            local.bufs, local.count = None, -1  # free the old pair before allocating
+            local.bufs, local.count = tuple(np.empty((count,) + shape[-2:], dtype=complex)
+                                            for _ in range(2)), count
         # a leading slice of a C-contiguous array is contiguous: overwrite_x holds
         return tuple(buf[:count].reshape(shape) for buf in local.bufs)
 

@@ -196,21 +196,21 @@ def _padded_case(cutoff: int, sign: float, shifted: bool, count: int = 5):
 
 # sha256 of padded_drift output bytes, recorded before the drift reused
 # scratch buffers and re-recorded with 0.5.0, whose grids of size
-# next_fast_len(3N+1) move the last bits of every drift; keys are
-# (cutoff, sign, shifted)
+# next_fast_len(3N+1) move the last bits of every drift and whose mode
+# (0, 0) is exactly zero; keys are (cutoff, sign, shifted)
 PADDED_DRIFT_DIGESTS = {
-    (4, 1.0, False): "18c43a9a03de22fe87b274f59b28747cecf1403fdb5af01523746794d18cf390",
-    (4, -1.0, False): "8e2ff6487c011e055078127b8568f09e30d5daed1480089b8dd80a8b3dab4aed",
-    (4, 1.0, True): "f6bb4829e65e795d1cb1f8d3b727bfb4e65132d979d917286566942c81a079fe",
-    (4, -1.0, True): "4cfd06b3abce5157a91c7ad54f7efe3bdf0584995ee5fd5075bee8a77726c4f9",
-    (8, 1.0, False): "2b49e66e2dc8a27cb67e118b9334f75de2cea3022e24f05d44cbeadba495c3b5",
-    (8, -1.0, False): "cbd04e36aad7839bba0a8ab73557c5762179d74a5f0a9738f539625b9870361f",
-    (8, 1.0, True): "3d41a7f4654f976f12360d8fa77deb59364f496ce988dd5a71f965e0be003859",
-    (8, -1.0, True): "d50f9011a24e1de2fc410cfc7d83714928760a4ccad35719a918f101c434e765",
-    (16, 1.0, False): "131bd3c905a8c05fd5480553f9a099fe0aec3c2a0d1099705fcfc94da0f0821e",
-    (16, -1.0, False): "0ed0579ed5cf45a31f2caea43ba0504a28b1db958c06dd950070ffc3fed33166",
-    (16, 1.0, True): "af55e1778c509220696dcbde8bc2795a6a5517d23185ef02bb959db0993f4d4d",
-    (16, -1.0, True): "307a3cc6f9eaba8df548829b361d359f4fd2ddc7332ddb14c0da78ea66b0697d",
+    (4, 1.0, False): "0a3e49e7b5de8551ad3a1049edecb9bc681008d549761556b4202a4456ca3b1a",
+    (4, -1.0, False): "7a19db1ac11761c0f2325c7b274dec8fe180effb2510bfea9d61e6dfb11abee8",
+    (4, 1.0, True): "c17b3ab9b8183467b4f0d785bff5c4fbe3f3fd087537fb99f397b3d3de37f1fd",
+    (4, -1.0, True): "1120c3932316b98cee6ae6a5e5f4abb07ec2892f322d742a11c918f5f1227a8f",
+    (8, 1.0, False): "f495da20b718e570afd8ae89ddfb856f7415abd9baa1317850c451607911ed4b",
+    (8, -1.0, False): "b29d2a337893418f80ec6434b8c85a9985622f650b75c7a2aa061e52e01db510",
+    (8, 1.0, True): "10d112f96d1c4840a819440dcea07d275919b13fca9ad67b82a38517f76f2ea0",
+    (8, -1.0, True): "0c1f1712fe54ab6a3ab9c5338b98e7823913bfdf144f94b8bd023b9eb441f9c5",
+    (16, 1.0, False): "a6ada520d641897bb74bd62e0863e2be96d0c3943cc97d33ee0af6de628b4a75",
+    (16, -1.0, False): "ca2488d71599be81e92d915d1e91f3c1c0265f64c10933abc40f22c9d3b844b7",
+    (16, 1.0, True): "3fe93add1d2d153acc89059c29889f79505d27316b53925e10c42df552bd7304",
+    (16, -1.0, True): "dce07ac1c9a84ba182e376333db3bf9aa525582c4ccd4fe173185b176035df1a",
 }
 
 
@@ -237,10 +237,13 @@ class TestPaddedDriftBytes:
         assert np.array_equal(drv.padded_drift(state[0]), kept[0])
 
     def test_scratch_reuse_keeps_bytes(self):
-        # a small batch runs in slices of the scratch that a large one sized
+        # a small batch runs in slices of the scratch that a large one sized;
+        # an empty batch works on a fresh instance and on a sized one
         drv, state = _padded_case(8, -1.0, True, count=256)
-        drv.padded_drift(state)
         fresh = SpectralDrift(8, shift=drv.shift, sign=-1.0)
+        assert fresh.padded_drift(state[:0]).shape == state[:0].shape
+        drv.padded_drift(state)
+        assert drv.padded_drift(state[:0]).shape == state[:0].shape
         assert np.array_equal(drv.padded_drift(state[:3]), fresh.padded_drift(state[:3]))
 
     def test_input_left_untouched(self):

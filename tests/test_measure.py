@@ -374,11 +374,11 @@ def _cylinder(horizon):
 # time-reversed SpectralDrift.  The implicit_midpoint digests were
 # re-recorded when the midpoint iteration began to stop member by member,
 # and all of them with 0.5.0, whose smaller dealiasing grids move the last
-# bits of every drift.
+# bits of every drift and whose drift is exactly zero in mode (0, 0).
 PUSHFORWARD_DIGESTS = {
-    ("rk4", "default"): "96e4be542cf2b3de3ecfd1663f51c27e362719cee32fae2b80f2186e7a016723",
-    ("implicit_midpoint", "default"): "e3d78b4b35690b7dd6c8e7d6ff778e2f889b4298e4b336ead17622f752db877b",
-    ("implicit_midpoint", "shifted"): "6f86ae5559a12d862a841215e3193328ea705f2484abfdee3e3d19d4a969117f",
+    ("rk4", "default"): "dd504f8af41236606f7f9c97c4a46c2126fcb1a1f6b350156172407f8595d7c6",
+    ("implicit_midpoint", "default"): "2eb6b5bcfc73ae647d7ac087bf8eb54439892312652228ef53e230c2efb652bf",
+    ("implicit_midpoint", "shifted"): "321121e05f4a46cd48b5341916a87b4678d3023ddbfca41fd98272433640b1db",
 }
 WEAK_FORM_DIGESTS = {
     ("rk4", "default"): "5e672c2148d6271db9044972d8f2b312f0e45fa7414a2bcefb5b308ca4352a29",
