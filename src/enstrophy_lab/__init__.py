@@ -48,5 +48,5 @@ from .measure import (
     sample_white_noise,
     weak_form_residual,
 )
-from .cylinder import CylinderFunctional, CylinderTerm
+from .cylinder import CylinderFunctional
 from .verify import TestReport

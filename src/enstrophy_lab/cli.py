@@ -212,14 +212,18 @@ BATTERY_BUILDERS = {
 }
 
 
+def _known_keys(obj: dict, known, path: str) -> None:
+    """Reject a key outside `known`: it would be ignored silently."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"{path}{unknown[0]}", f"unknown key; accepted: {sorted(known)}")
+
+
 def _prepare(i: int, entry: dict, seed: int):
     """Validate one config entry; return its battery as a thunk."""
     p = _Params(entry.get("params", {}), f"tests[{i}].params")
     job = BATTERY_BUILDERS[entry["name"]](p, seed)
-    unread = sorted(set(p.params) - p.read)
-    if unread:
-        raise ConfigError(f"{p.path}.{unread[0]}",
-                          f"unknown key; this entry reads {sorted(p.read)}")
+    _known_keys(p.params, p.read, f"{p.path}.")
     return job
 
 
@@ -235,20 +239,23 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
-    cfg["_sha256"] = hashlib.sha256(raw).hexdigest()
+    _known_keys(cfg, ("seed", "out_dir", "tests"), "")
     _typed(cfg.get("seed", 0), int, "seed", lo=0)  # a bool seed would run as 0 or 1
+    _typed(cfg.get("out_dir", "reports"), str, "out_dir")
     tests = cfg.get("tests", [])
     if not isinstance(tests, list):
         raise ConfigError("tests", "must be a list")
     for i, entry in enumerate(tests):
         if not isinstance(entry, dict):
             raise ConfigError(f"tests[{i}]", "must be an object")
+        _known_keys(entry, ("name", "params"), f"tests[{i}].")
         name = entry.get("name")
         if name not in BATTERY_BUILDERS:
             raise ConfigError(f"tests[{i}].name",
                               f"unknown battery {name!r}; known: {sorted(BATTERY_BUILDERS)}")
         if not isinstance(entry.get("params", {}), dict):
             raise ConfigError(f"tests[{i}].params", "must be an object")
+    cfg["_sha256"] = hashlib.sha256(raw).hexdigest()
     return cfg
 
 

@@ -1,15 +1,16 @@
-"""Cylinder test functionals F(t, w) = sum_i f_i(<w,phi_1>,...,<w,phi_k>) g_i(t).
+"""Cylinder test functionals F(t, w) = f(<w,phi_1>,...,<w,phi_k>) g(t).
 
 The spatial dependence enters only through finitely many pairings, so the
-chain rule along a trajectory needs the outer gradients of the f_i and the
-drift pairings against the phi_j.  Time factors must vanish at the horizon,
-which is what turns the weak-form time integral into a telescoping test.
+chain rule along a trajectory needs the outer gradient of f and the drift
+pairings against the phi_j.  The time factor must vanish at the horizon,
+which turns the weak-form time integral into a telescoping test.  The weak
+form is linear in F, so a sum of products is tested one product at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,39 +21,29 @@ TimeFn = Callable[[float], float]
 
 
 @dataclass(frozen=True)
-class CylinderTerm:
-    """One product term: outer function (with gradient) times a time factor."""
+class CylinderFunctional:
+    """F(t, w) = f(<w,phi_1>,...,<w,phi_k>) g(t); `phis` is stored as a tuple."""
 
     f: ArrayFn          # (B, k) pairing values -> (B,)
     grad_f: ArrayFn     # (B, k) -> (B, k)
     g: TimeFn
     dg: TimeFn
-
-
-@dataclass(frozen=True)
-class CylinderFunctional:
     phis: tuple[SpectralField, ...]
-    terms: tuple[CylinderTerm, ...]
     horizon: float
 
     def __post_init__(self):
-        for i, term in enumerate(self.terms):
-            gT = term.g(self.horizon)
-            scale = max(1.0, abs(term.g(0.0)))
-            if abs(gT) > 1e-12 * scale:
-                raise ValueError(f"time factor of term {i} must vanish at the horizon, got g(T)={gT}")
-
-    @classmethod
-    def single(cls, f: ArrayFn, grad_f: ArrayFn, g: TimeFn, dg: TimeFn,
-               phis: Sequence[SpectralField], horizon: float) -> "CylinderFunctional":
-        return cls(phis=tuple(phis), terms=(CylinderTerm(f, grad_f, g, dg),), horizon=horizon)
+        object.__setattr__(self, "phis", tuple(self.phis))
+        gT = self.g(self.horizon)
+        scale = max(1.0, abs(self.g(0.0)))
+        if abs(gT) > 1e-12 * scale:
+            raise ValueError(f"time factor must vanish at the horizon, got g(T)={gT}")
 
     @classmethod
     def time_only(cls, g: TimeFn, dg: TimeFn, horizon: float) -> "CylinderFunctional":
         """F depending on time alone (empty pairing vector)."""
         one = lambda v: np.ones(v.shape[0])
         zero = lambda v: np.zeros_like(v)
-        return cls(phis=(), terms=(CylinderTerm(one, zero, g, dg),), horizon=horizon)
+        return cls(one, zero, g, dg, (), horizon)
 
     @property
     def n_pairings(self) -> int:
@@ -60,26 +51,19 @@ class CylinderFunctional:
 
     def value(self, t: float, pairings: np.ndarray) -> np.ndarray:
         """F(t, .) from pairing values, shape (B, k) -> (B,)."""
-        return sum(term.f(pairings) * term.g(t) for term in self.terms)
+        return self.f(pairings) * self.g(t)
 
     def dt_value(self, t: float, pairings: np.ndarray) -> np.ndarray:
-        return sum(term.f(pairings) * term.dg(t) for term in self.terms)
+        return self.f(pairings) * self.dg(t)
 
     def pairing_gradient(self, t: float, pairings: np.ndarray) -> np.ndarray:
         """dF/d<w,phi_j> as (B, k); contracts against drift pairings."""
-        out = np.zeros_like(pairings)
-        for term in self.terms:
-            out += term.grad_f(pairings) * term.g(t)
-        return out
+        return self.grad_f(pairings) * self.g(t)
 
     def empirical_bounds(self, pairings: np.ndarray) -> dict[str, float]:
-        """Observed sup of |f_i| and |grad f_i| over a sample of pairing values."""
-        sup_f = max(float(np.abs(term.f(pairings)).max()) for term in self.terms)
-        if self.n_pairings:
-            sup_g = max(float(np.abs(term.grad_f(pairings)).max()) for term in self.terms)
-        else:
-            sup_g = 0.0
-        return {"sup_f": sup_f, "sup_grad_f": sup_g}
+        """Observed sup of |f| and |grad f| over a sample of pairing values."""
+        sup_g = float(np.abs(self.grad_f(pairings)).max()) if self.n_pairings else 0.0
+        return {"sup_f": float(np.abs(self.f(pairings)).max()), "sup_grad_f": sup_g}
 
 
 def ramp_down(horizon: float) -> tuple[TimeFn, TimeFn]:

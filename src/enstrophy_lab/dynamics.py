@@ -130,9 +130,8 @@ def biot_savart(field: SpectralField) -> VelocityField:
 
     The zero mode of the vorticity is inert (no mean flow is generated).
     """
-    n1, n2 = mode_grids(field.cutoff)
-    s = field.coeffs * _inverse_norm_sq(field.cutoff) / _TWO_PI_I
-    return VelocityField(field.cutoff, s * n2, s * (-n1))
+    k1, k2 = _drift_multipliers(field.cutoff)[:2]
+    return VelocityField(field.cutoff, k1 * field.coeffs, k2 * field.coeffs)
 
 
 def curl(v: VelocityField) -> SpectralField:
@@ -338,29 +337,21 @@ class DriftForm(QuadraticForm):
 
     def trace(self) -> float:
         # the diagonal entries A(n, -n) are those of the support mode s = 0
-        total = 0j
-        for s, amp, c, _ in _support_terms(self.phi, self.cutoff):
-            if s == (0, 0):
-                total += amp * np.sum(c)
-        return total.real
+        return sum((amp * np.sum(c) for s, amp, c, _ in _support_terms(self.phi, self.cutoff)
+                    if s == (0, 0)), 0j).real
 
     def frobenius_sq(self) -> float:
         return drift_form_frobenius_sq(self.phi, self.cutoff)
 
     def matrix(self) -> np.ndarray:
-        cutoff = self.cutoff
-        n1, n2 = mode_grids(cutoff)
-        f1, f2 = n1.ravel().astype(float), n2.ravel().astype(float)
-        inv = _inverse_norm_sq(cutoff).ravel()
-        # perp(m).n = m2 n1 - m1 n2, rows indexed by n, columns by m
-        cross = np.outer(f1, f2) - np.outer(f2, f1)
-        factor = 0.5 * cross * (inv[:, None] - inv[None, :])
-        # phi_hat(-n-m) gathered from the lattice at twice the cutoff
-        phi2 = project(self.phi, 2 * cutoff).coeffs
-        i1 = (-(n1.ravel()[:, None] + n1.ravel()[None, :])) + 2 * cutoff
-        i2 = (-(n2.ravel()[:, None] + n2.ravel()[None, :])) + 2 * cutoff
-        nonzero = (inv > 0).astype(float)
-        return factor * phi2[i1, i2] * np.outer(nonzero, nonzero)
+        # entry (n, m) belongs to the one support mode s = n + m: row n, column s - n
+        d = 2 * self.cutoff + 1
+        out = np.zeros((d * d, d * d), dtype=complex)
+        rows = np.arange(d * d).reshape(d, d)
+        for _, amp, c, (i1, i2) in _support_terms(self.phi, self.cutoff):
+            nz = c != 0
+            out[rows[nz], (i1 * d + i2)[nz]] = amp * c[nz]
+        return out
 
 
 def quadratic_coefficients(phi: SpectralField, cutoff: int) -> DriftForm:
@@ -409,24 +400,20 @@ class KernelEval:
 
     phi: SpectralField
     k_max: int = 64
-    _k1: np.ndarray = dc_field(init=False, repr=False)
-    _k2: np.ndarray = dc_field(init=False, repr=False)
+    _k: tuple = dc_field(init=False, repr=False)  # Biot-Savart multipliers, one per component
 
     def __post_init__(self):
-        n1, n2 = mode_grids(self.k_max)
-        inv = _inverse_norm_sq(self.k_max)
-        object.__setattr__(self, "_k1", (n2 * inv) / _TWO_PI_I)
-        object.__setattr__(self, "_k2", (-n1 * inv) / _TWO_PI_I)
+        object.__setattr__(self, "_k", _drift_multipliers(self.k_max)[:2])
 
     def _kernel_sum(self, z: np.ndarray, k_cut: int) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         e1, e2 = _mode_exponentials(z, self.k_max)
         if k_cut >= self.k_max:
-            c1, c2 = self._k1, self._k2
+            c1, c2 = self._k
         else:
             n1, n2 = mode_grids(self.k_max)
             mask = np.maximum(np.abs(n1), np.abs(n2)) <= k_cut
-            c1, c2 = self._k1 * mask, self._k2 * mask
+            c1, c2 = (k * mask for k in self._k)
         k1 = _nonuniform_sum(c1, e1, e2).real
         k2 = _nonuniform_sum(c2, e1, e2).real
         return np.stack([k1, k2], axis=-1).reshape(z.shape)

@@ -15,7 +15,7 @@ Tolerance ladder used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.fft
@@ -214,15 +214,23 @@ def real_part(vals, what: str) -> np.ndarray:
     return vals.real
 
 
+def pairings_batch(coeffs: np.ndarray, cutoff: int, phis: Sequence[SpectralField]) -> np.ndarray:
+    """L2 pairings <w_i, phi_j> over the common lattice: (B, ...) -> (B, k)."""
+    out = np.empty(coeffs.shape[:-2] + (len(phis),))
+    for j, phi in enumerate(phis):
+        m = min(cutoff, phi.cutoff)
+        w = coeffs[..., cutoff - m : cutoff + m + 1, cutoff - m : cutoff + m + 1]
+        p = phi.coeffs[phi.cutoff - m : phi.cutoff + m + 1, phi.cutoff - m : phi.cutoff + m + 1]
+        out[..., j] = real_part(np.sum(w * np.conj(p), axis=(-2, -1)), f"pairing against phi[{j}]")
+    return out
+
+
 def dual_pairing(a: SpectralField, b: SpectralField) -> float:
     """L2 pairing of two real fields: sum of a_hat(n) conj(b_hat(n)).
 
     Cutoffs may differ; the sum runs over the common lattice.
     """
-    m = min(a.cutoff, b.cutoff)
-    ca = a.coeffs[a.cutoff - m : a.cutoff + m + 1, a.cutoff - m : a.cutoff + m + 1]
-    cb = b.coeffs[b.cutoff - m : b.cutoff + m + 1, b.cutoff - m : b.cutoff + m + 1]
-    return float(real_part(np.sum(ca * np.conj(cb)), "pairing"))
+    return float(pairings_batch(a.coeffs, a.cutoff, [b])[0])
 
 
 def embed_layout(coeffs: np.ndarray, size: int) -> np.ndarray:

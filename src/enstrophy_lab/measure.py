@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import SpectralDrift
-from .fields import SpectralField, half_lattice_mask, project, real_part, sobolev_norm
+from .fields import SpectralField, half_lattice_mask, pairings_batch, project, sobolev_norm
 from .flow import FlowParams, StepFailure, _resolve_drift, _run_padded
 
 
@@ -175,19 +175,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     m = len(values)
     se = float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
     return float(np.mean(values)), se
-
-
-def pairings_batch(coeffs: np.ndarray, cutoff: int, phis: Sequence[SpectralField]) -> np.ndarray:
-    """<w_i, phi_j> for stacked tables: (B, ...) -> (B, k)."""
-    if not phis:
-        return np.zeros(coeffs.shape[:-2] + (0,))
-    out = np.empty(coeffs.shape[:-2] + (len(phis),))
-    for j, phi in enumerate(phis):
-        m = min(cutoff, phi.cutoff)
-        w = coeffs[..., cutoff - m : cutoff + m + 1, cutoff - m : cutoff + m + 1]
-        p = phi.coeffs[phi.cutoff - m : phi.cutoff + m + 1, phi.cutoff - m : phi.cutoff + m + 1]
-        out[..., j] = real_part(np.sum(w * np.conj(p), axis=(-2, -1)), f"pairing against phi[{j}]")
-    return out
 
 
 class DensitySpec:

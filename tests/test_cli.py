@@ -112,6 +112,25 @@ class TestConfigValidation:
         assert f"tests[1].params.{field}:" in capsys.readouterr().err
         assert not out.exists()
 
+    VALID = {"name": "moment_bound", "params": {"N": 2, "M": 200, "p": 2}}
+
+    @pytest.mark.parametrize("payload,field", [
+        # a misspelt seed ran at seed 0 and exited 0
+        ({"sead": 2, "tests": [VALID]}, "sead"),
+        # a misspelt params ran the battery on its defaults
+        ({"seed": 1, "tests": [VALID, {"name": "dirichlet_kernel", "parmas": {"N_list": [2, 9]}}]},
+         "tests[1].parmas"),
+        # a non-string out_dir crashed with a TypeError after the batteries ran
+        ({"seed": 1, "out_dir": 5, "tests": [VALID]}, "out_dir"),
+    ])
+    def test_unknown_keys_and_bad_out_dir_checked_first(self, tmp_path, monkeypatch, capsys,
+                                                        payload, field):
+        monkeypatch.chdir(tmp_path)  # where the config's own out_dir would appear
+        cfg = write_cfg(tmp_path / "c.json", payload)
+        assert run(cfg) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.json"]
+
     def test_load_config_reports_field(self, tmp_path):
         path = write_cfg(tmp_path / "c.json", {"seed": "x"})
         with pytest.raises(ConfigError) as info:
@@ -340,6 +359,14 @@ class TestBundledConfig:
             cfg = load_config(str(p))
         assert cfg["tests"]
         assert all(t["name"] in BATTERY_BUILDERS for t in cfg["tests"])
+
+    def test_quickcheck_copies_are_equal(self):
+        # README runs the root copy; the acceptance gate pins the packaged one
+        import importlib.resources as res
+
+        packaged = (res.files("enstrophy_lab") / "configs" / "quickcheck.cfg").read_bytes()
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "quickcheck.cfg"), "rb") as fh:
+            assert fh.read() == packaged
 
 
 class TestMain:

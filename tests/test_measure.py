@@ -307,7 +307,7 @@ class TestWeakForm:
         horizon = 0.25
         g, dg = ramp_down(horizon)
         f, grad_f = bounded_window()
-        func = CylinderFunctional.single(f, grad_f, g, dg, [PHI], horizon)
+        func = CylinderFunctional(f, grad_f, g, dg, [PHI], horizon)
         e = init_ensemble(SPEC, GaussianTilt(PHI), count)
         p = FlowParams(cutoff=4, dt=1e-2, t_end=horizon, integrator="rk4")
         res = weak_form_residual(e, func, p)
@@ -321,7 +321,7 @@ class TestWeakForm:
         horizon = 0.2
         g, dg = ramp_down(horizon)
         f, grad_f = bounded_window()
-        func = CylinderFunctional.single(f, grad_f, g, dg, [PHI], horizon)
+        func = CylinderFunctional(f, grad_f, g, dg, [PHI], horizon)
         e = init_ensemble(SPEC, UniformDensity(), 1500)
         res = weak_form_residual(e, func, FlowParams(cutoff=4, dt=1e-2, t_end=horizon, integrator="rk4"))
         assert abs(res.residual) <= 3 * res.std_error + 1e-3 * res.dt ** 2 + 1e-4
@@ -334,7 +334,7 @@ class TestWeakForm:
         wide = SpectralField.from_modes(6, {(6, 0): 1.0})
         g, dg = ramp_down(0.1)
         f, grad_f = bounded_window()
-        func = CylinderFunctional.single(f, grad_f, g, dg, [wide], 0.1)
+        func = CylinderFunctional(f, grad_f, g, dg, [wide], 0.1)
         e = init_ensemble(SPEC, UniformDensity(), 8)
         with pytest.raises(ValueError):
             weak_form_residual(e, func, FlowParams(cutoff=4, dt=1e-2, t_end=0.1))
@@ -365,7 +365,7 @@ def _weak_form_digest(res) -> str:
 def _cylinder(horizon):
     g, dg = ramp_down(horizon)
     f, grad_f = bounded_window()
-    return CylinderFunctional.single(f, grad_f, g, dg, [PHI], horizon)
+    return CylinderFunctional(f, grad_f, g, dg, [PHI], horizon)
 
 
 # sha256 digests recorded before weak_form_residual moved to the padded

@@ -1,5 +1,6 @@
 """Battery plumbing: reference kernels, series check, report serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -192,6 +193,31 @@ class TestBatteryGuards:
         rep = wick_mean_test(form, MeasureSpec(cutoff=3, seed=21), 4000)
         assert rep.passed
         assert rep.summary["exact_trace"] == 0.0
+
+
+class TestDriftExpIntegrability:
+    """The drift kernel route: measured sup, dense table and critical exponent."""
+
+    PHI = named_test_field("cos_x1_plus_x2")
+    # sha256 of the report's JSON, recorded before the dense drift table was
+    # built from the support terms
+    DIGEST = "c67a941d77ccbed19892116986255135512f557420bd168b9d0e16edc3000b89"
+
+    def test_report_bytes(self):
+        rep = exp_integrability_test(self.PHI, [0.1, 0.4], MeasureSpec(cutoff=4, seed=3), 300,
+                                     [2, 4], kernel_kind="drift")
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == self.DIGEST
+        assert rep.summary["critical_eps_exact"] == 8.127518444705407
+
+    def test_zero_form_has_infinite_critical_exponent(self):
+        # at N=1 the drift form of cos(x1 + x2) vanishes: the exponent used
+        # to come from a division by zero (a RuntimeWarning, an error here)
+        assert np.all(quadratic_coefficients(self.PHI, 1).matrix() == 0)
+        rep = exp_integrability_test(self.PHI, [0.1, 0.4], MeasureSpec(cutoff=1, seed=3), 300,
+                                     [1], kernel_kind="drift")
+        assert rep.summary["critical_eps_exact"] == np.inf
+        assert json.loads(rep.to_json())["summary"]["critical_eps_exact"] is None
+        assert rep.passed
 
 
 class TestBlockedPairing:
