@@ -18,9 +18,8 @@ import sys
 import time
 
 from . import __version__
-from .dynamics import env_workers
 from .flow import FlowParams
-from .measure import MeasureSpec
+from .measure import MeasureSpec, env_workers
 from .verify import (
     TestReport,
     cauchy_study,
@@ -60,11 +59,15 @@ def _typed(val, typ, field: str, lo=None, hi=None):
     return val
 
 
-def _named_field(name: str, field: str):
+def _named_field(name: str, field: str, cutoff: int | None = None):
+    """The named test field; with `cutoff`, it must fit the lattice it is paired on."""
     try:
-        return named_test_field(name)
+        phi = named_test_field(name)
     except ValueError as exc:
         raise ConfigError(field, str(exc)) from None
+    if cutoff is not None and phi.cutoff > cutoff:
+        raise ConfigError(field, f"{name!r} has modes up to {phi.cutoff}, beyond the cutoff N={cutoff}")
+    return phi
 
 
 class _Params:
@@ -94,8 +97,8 @@ class _Params:
     def cutoffs(self, default: list) -> list:
         return self.distinct_list("N_list", int, default, lo=1)
 
-    def field(self, key: str, default: str):
-        return _named_field(self.get(key, str, default), f"{self.path}.{key}")
+    def field(self, key: str, default: str, cutoff: int | None = None):
+        return _named_field(self.get(key, str, default), f"{self.path}.{key}", cutoff)
 
     def flow(self, cutoff: int, default_T: float, default_dt: float,
              default_integrator: str = "implicit_midpoint") -> FlowParams:
@@ -172,7 +175,7 @@ def _build_invariance(p: _Params, seed: int, expect_fail: bool = False):
     count = p.get("M", int, 2000, lo=2)
     flow = p.flow(n, default_T=1.0, default_dt=1e-2)
     names = p.get_list("observables", str, ["cos_x1", "sin_x1_plus_x2"])
-    obs = [_named_field(s, f"{p.path}.observables[{j}]") for j, s in enumerate(names)]
+    obs = [_named_field(s, f"{p.path}.observables[{j}]", n) for j, s in enumerate(names)]
     shift = (obs[0], p.get("shift_amp", float, 1.0)) if expect_fail else None
     return lambda: invariance_test(MeasureSpec(cutoff=n, seed=seed), flow, obs, count,
                                    drift_shift=shift, expect_fail=expect_fail)
@@ -194,8 +197,8 @@ def _build_transport(p: _Params, seed: int):
     flow = p.flow(n, default_T=0.5, default_dt=1e-2, default_integrator="rk4")
     if flow.t_end == 0:
         raise ConfigError(f"{p.path}.T", "must be positive: the weak form's time factor ramps to 0 over T")
-    tilt = p.field("tilt_phi", "cos_x1")
-    obs = p.field("obs_phi", "cos_x1")
+    tilt = p.field("tilt_phi", "cos_x1", n)
+    obs = p.field("obs_phi", "cos_x1", n)
     return lambda: transport_battery(MeasureSpec(cutoff=n, seed=seed), flow, tilt, obs, count)
 
 
@@ -241,7 +244,8 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", "top level must be an object")
     _known_keys(cfg, ("seed", "out_dir", "tests"), "")
     _typed(cfg.get("seed", 0), int, "seed", lo=0)  # a bool seed would run as 0 or 1
-    _typed(cfg.get("out_dir", "reports"), str, "out_dir")
+    if not _typed(cfg.get("out_dir", "reports"), str, "out_dir"):
+        raise ConfigError("out_dir", "must not be empty")
     tests = cfg.get("tests", [])
     if not isinstance(tests, list):
         raise ConfigError("tests", "must be a list")
@@ -273,7 +277,7 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
         cfg = load_config(config_path)
         if seed_override is not None:
             _typed(seed_override, int, "--seed-override", lo=0)
-        env_workers()  # a bad FFT thread cap is a config error before any battery runs
+        env_workers()  # a bad thread cap is a config error before any battery runs
         seed = seed_override if seed_override is not None else cfg.get("seed", 0)
         tests = cfg.get("tests", [])
         jobs = [_prepare(i, entry, seed) for i, entry in enumerate(tests)]

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -57,31 +56,6 @@ from .fields import (
 )
 
 _TWO_PI_I = 2j * np.pi
-
-
-def env_workers() -> int | None:
-    """ENSTROPHY_LAB_WORKERS, the FFT thread cap, as an integer >= 1; None when unset or empty."""
-    raw = os.environ.get("ENSTROPHY_LAB_WORKERS", "")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"ENSTROPHY_LAB_WORKERS must be an integer >= 1, got {raw!r}")
-    return value
-
-
-def fft_workers() -> int | None:
-    """Worker budget for batched transforms; capped by ENSTROPHY_LAB_WORKERS.
-
-    Thread count never changes results (transforms in a batch are
-    independent), only throughput.
-    """
-    cpus = os.cpu_count() or 1
-    cap = env_workers()
-    return min(cpus, cap) if cap else cpus
 
 
 def _inverse_norm_sq(cutoff: int) -> np.ndarray:
@@ -197,7 +171,9 @@ class SpectralDrift:
     and imaginary parts of the synthesized grid separate them exactly.  The
     transform inputs are leading slices of a per-thread scratch pair sized
     by the largest batch seen, so one instance may be shared between
-    threads and every call returns a fresh array.
+    threads and every call returns a fresh array.  Each transform runs on
+    the calling thread alone: parallelism comes from `measure._move`,
+    which steps its member chunks on a thread pool.
     """
 
     def __init__(self, cutoff: int, shift: Optional[np.ndarray] = None, sign: float = 1.0):
@@ -238,16 +214,13 @@ class SpectralDrift:
         return tuple(buf[:count].reshape(shape) for buf in local.bufs)
 
     def padded_drift(self, state_pad: np.ndarray) -> np.ndarray:
-        workers = fft_workers()
         su, sd = self._buffers(state_pad.shape)
-        gu = scipy.fft.ifft2(np.multiply(state_pad, self._pu, out=su), axes=(-2, -1),
-                             workers=workers, overwrite_x=True)
-        gd = scipy.fft.ifft2(np.multiply(state_pad, self._pd, out=sd), axes=(-2, -1),
-                             workers=workers, overwrite_x=True)
+        gu = scipy.fft.ifft2(np.multiply(state_pad, self._pu, out=su), axes=(-2, -1), overwrite_x=True)
+        gd = scipy.fft.ifft2(np.multiply(state_pad, self._pd, out=sd), axes=(-2, -1), overwrite_x=True)
         # a fresh real product: a kept one raised peak memory in midpoint runs
         prod = gu.real * gd.real
         prod += np.multiply(gu.imag, gd.imag, out=gu.imag)
-        out = scipy.fft.fft2(prod, axes=(-2, -1), workers=workers)
+        out = scipy.fft.fft2(prod, axes=(-2, -1))
         out *= self._out_scale
         if self._shift_pad is not None:
             out += self._shift_pad

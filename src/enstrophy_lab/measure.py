@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -51,8 +53,14 @@ _POOL_SIZE = 4
 # Rows drawn and assembled per block; small blocks keep the temporaries
 # (draws, values, conjugates) a few MB even at N=32.
 _CHUNK_ROWS = 64
-# Members stepped together; it bounds memory and never changes results.
-_CHUNK_MEMBERS = 256
+# Members stepped together at most; it bounds memory and never changes
+# results.  Each pool thread steps one chunk at a time: two threads at 128
+# stay near the peak memory of one thread at 256.
+_CHUNK_MEMBERS = 128
+# Ensembles are cut at least this many ways, so two threads share even a
+# small one.  The cut depends on M alone, never on the thread count: a
+# failed step stops its chunk, so the cut decides which members it names.
+_MIN_CHUNKS = 2
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
@@ -289,27 +297,68 @@ class PushforwardError(Exception):
         self.failed_members = failed_members
 
 
+def env_workers() -> int | None:
+    """ENSTROPHY_LAB_WORKERS, the chunk pool's thread cap, as an integer >= 1; None when unset or empty."""
+    raw = os.environ.get("ENSTROPHY_LAB_WORKERS", "")
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"ENSTROPHY_LAB_WORKERS must be an integer >= 1, got {raw!r}")
+    return value
+
+
+def _pool_threads() -> int:
+    """Threads that step member chunks: every CPU, capped by ENSTROPHY_LAB_WORKERS."""
+    cpus = os.cpu_count() or 1
+    return min(cpus, env_workers() or cpus)
+
+
 def _move(ensemble: Ensemble, params: FlowParams, drv: SpectralDrift,
           observer: Optional[Callable] = None) -> Ensemble:
-    """The ensemble moved over [t, t + t_end] in chunks of `_CHUNK_MEMBERS` members.
+    """The ensemble moved over [t, t + t_end], chunk by chunk on `_pool_threads()` threads.
 
-    Each chunk runs through `flow._run_padded`, observed by
-    observer(sl, k, state, k1) with its member slice sl when one is given.
+    Chunks hold min(`_CHUNK_MEMBERS`, ceil(M / `_MIN_CHUNKS`)) members, so
+    a small ensemble still spreads over two threads.  Each chunk runs through
+    `flow._run_padded`, observed by observer(sl, k, state, k1) with its
+    member slice sl when one is given; chunks share no state but the drift,
+    whose scratch is per thread, so the observer may write only row sl of
+    its results.  One thread or one chunk runs on the calling thread.  A
+    failed step stops its chunk only: once every chunk has finished, one
+    `PushforwardError` names the failed members of all chunks, sorted, with
+    the message of the lowest failing chunk, whatever the thread count or
+    the scheduling.
     """
     if params.cutoff != ensemble.spec.cutoff:
         raise ValueError("flow cutoff does not match ensemble cutoff")
     coeffs = np.array(ensemble.coeffs)
     m = coeffs.shape[0]
-    for start in range(0, m, _CHUNK_MEMBERS):
-        sl = slice(start, min(start + _CHUNK_MEMBERS, m))
+    threads = _pool_threads()
+    size = min(_CHUNK_MEMBERS, -(-m // _MIN_CHUNKS))
+    slices = [slice(start, min(start + size, m)) for start in range(0, m, size)]
+
+    def run(sl: slice) -> Optional[StepFailure]:
         observe = functools.partial(observer, sl) if observer is not None else None
         try:
             coeffs[sl] = _run_padded(coeffs[sl], params, drv, params.n_steps, observe)
         except StepFailure as exc:
-            mask = exc.member_mask
-            failed = np.nonzero(mask)[0] if mask is not None else []
-            ids = [int(ensemble.stream_ids[start + int(i)]) for i in failed]
-            raise PushforwardError(f"{exc} (members {ids})", ids) from exc
+            return exc
+        return None
+
+    if threads == 1 or len(slices) == 1:
+        failures = [run(sl) for sl in slices]
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            failures = list(pool.map(run, slices))
+    failed = [(sl, exc) for sl, exc in zip(slices, failures) if exc is not None]
+    if failed:
+        ids = sorted(int(ensemble.stream_ids[sl][i]) for sl, exc in failed
+                     for i in np.nonzero(exc.member_mask)[0])
+        first = failed[0][1]
+        raise PushforwardError(f"{first} (members {ids})", ids) from first
     return Ensemble(
         spec=ensemble.spec,
         coeffs=coeffs,
@@ -326,11 +375,13 @@ def pushforward(ensemble: Ensemble, params: FlowParams,
     Weights transported along trajectories are exactly the time-t density at
     the member's current position, so they are reused bitwise.  The drift
     is `drift_fn` (the Euler drift when None), a `SpectralDrift` at the
-    flow's cutoff.  Members are stepped by `flow._run_padded` in chunks,
-    four drift evaluations per rk4 step; a failed step raises
-    `PushforwardError` naming its members.  Every member moves bitwise as
-    `flow.evolve` moves it alone: the midpoint iteration stops member by
-    member, so neither the chunks nor the other members change a result.
+    flow's cutoff.  Members are stepped by `flow._run_padded` in chunks on
+    a pool of `_pool_threads()` threads (see `_move`), four drift
+    evaluations per rk4 step; failed steps raise one `PushforwardError`
+    naming their members.  Every member moves bitwise as `flow.evolve`
+    moves it alone: the midpoint iteration stops member by member, so
+    neither the chunks, nor the threads, nor the other members change a
+    result.
     """
     return _move(ensemble, params, _resolve_drift(drift_fn, params.cutoff))
 

@@ -13,7 +13,7 @@ import pytest
 
 import enstrophy_lab
 from enstrophy_lab.cli import BATTERY_BUILDERS, ConfigError, load_config, main, run
-from enstrophy_lab.dynamics import env_workers, fft_workers
+from enstrophy_lab.measure import _pool_threads, env_workers
 from enstrophy_lab.verify import TestReport
 
 
@@ -122,6 +122,8 @@ class TestConfigValidation:
          "tests[1].parmas"),
         # a non-string out_dir crashed with a TypeError after the batteries ran
         ({"seed": 1, "out_dir": 5, "tests": [VALID]}, "out_dir"),
+        # an empty one raised FileNotFoundError in os.makedirs, exit 1
+        ({"seed": 1, "out_dir": "", "tests": [VALID]}, "out_dir"),
     ])
     def test_unknown_keys_and_bad_out_dir_checked_first(self, tmp_path, monkeypatch, capsys,
                                                         payload, field):
@@ -168,13 +170,42 @@ class TestConfigValidation:
         assert run(cfg, out_dir=str(tmp_path / "out")) == 2
         assert "ENSTROPHY_LAB_WORKERS" in capsys.readouterr().err
         with pytest.raises(ValueError, match="ENSTROPHY_LAB_WORKERS"):
-            fft_workers()
+            _pool_threads()
 
-    def test_workers_variable_caps_transforms(self, monkeypatch):
+    def test_workers_variable_caps_chunk_pool(self, monkeypatch):
+        # the variable caps the threads that step ensemble chunks, at most every CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "1")
-        assert env_workers() == 1 and fft_workers() == 1
+        assert env_workers() == 1 and _pool_threads() == 1
+        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "8")
+        assert env_workers() == 8 and _pool_threads() == 2
         monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "")
-        assert env_workers() is None and fft_workers() == (os.cpu_count() or 1)
+        assert env_workers() is None and _pool_threads() == 2
+
+    # named fields of the batteries that step ensembles, against N; a field
+    # beyond N raised inside the battery (transport) or failed on a sigma
+    # the projected pairing never sees (invariance)
+    @pytest.mark.parametrize("name,fields,field", [
+        ("invariance", {"observables": ["cos_x1", "cos_2x1_plus_x2"]}, "observables[1]"),
+        ("invariance_negative", {"observables": ["cos_2x1_plus_x2"]}, "observables[0]"),
+        ("transport", {"tilt_phi": "cos_2x1_plus_x2"}, "tilt_phi"),
+        ("transport", {"obs_phi": "cos_2x1_plus_x2"}, "obs_phi"),
+    ])
+    @pytest.mark.parametrize("n", [1, 2])  # cos_2x1_plus_x2 has modes up to 2
+    def test_named_fields_fit_their_cutoff(self, tmp_path, capsys, name, fields, field, n):
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 3, "tests": [
+            {"name": name, "params": dict({"N": n, "M": 50, "T": 0.02, "dt": 0.01}, **fields)}]})
+        out = tmp_path / "out"
+        code = run(cfg, out_dir=str(out))
+        if n == 1:
+            assert code == 2
+            assert f"tests[0].params.{field}: 'cos_2x1_plus_x2' has modes up to 2, beyond the cutoff N=1" \
+                in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code in (0, 1)
+            report = json.loads((out / f"{name}.json").read_text())
+            assert not any("battery raised" in note for note in report["notes"])
 
 
 class TestRun:
@@ -218,7 +249,7 @@ class TestRun:
         assert b["seed"] == 99
 
     def test_fft_threads_do_not_change_bytes(self, tmp_path):
-        # both batteries step through padded_drift, whose transforms take
+        # both batteries move ensembles in chunks on a pool of
         # ENSTROPHY_LAB_WORKERS threads; the thread count must not change any byte
         cfg = write_cfg(tmp_path / "c.json", {
             "seed": 11,
@@ -245,8 +276,25 @@ class TestRun:
         assert manifests["2"] == manifests["1"]
         assert len(json.loads(manifests["1"])["files"]) == 5  # two reports, two tables, summary
 
+    def test_thread_count_keeps_failure_report_bytes(self, tmp_path, monkeypatch):
+        # the midpoint step fails at N=16 for some members of both chunks;
+        # the report names them, and its bytes must not follow the thread count
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 1, "tests": [
+            {"name": "invariance", "params": {"N": 16, "M": 16, "T": 0.01, "dt": 0.01}}]})
+        manifests = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", workers)
+            out = tmp_path / f"w{workers}"
+            assert run(cfg, out_dir=str(out)) == 1
+            notes = json.loads((out / "invariance.json").read_text())["notes"]
+            assert "PushforwardError" in notes[0], notes
+            manifests[workers] = (out / "manifest.json").read_bytes()
+        assert manifests["1"] == manifests["2"]
+
     def test_batteries_run_in_config_order_on_calling_thread(self, tmp_path, monkeypatch):
-        # ENSTROPHY_LAB_WORKERS caps FFT threads only; it starts no battery threads
+        # ENSTROPHY_LAB_WORKERS caps the threads that step ensemble chunks
+        # inside a battery; the batteries themselves run in turn on this thread
         monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "2")
         calls = []
 

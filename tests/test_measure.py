@@ -2,7 +2,9 @@
 
 import concurrent.futures
 import hashlib
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from enstrophy_lab.cylinder import CylinderFunctional, bounded_window, ramp_down
 from enstrophy_lab.dynamics import SpectralDrift
 from enstrophy_lab.fields import SpectralField, sobolev_norm, validate_field
 from enstrophy_lab import measure
-from enstrophy_lab.flow import FlowParams, evolve
+from enstrophy_lab.flow import FlowParams, StepFailure, _run_padded, evolve
 from enstrophy_lab.measure import (
     Ensemble,
     GaussianTilt,
@@ -36,7 +38,7 @@ PHI = SpectralField.from_modes(1, {(1, 0): 0.5})  # cos(2 pi x1), norm^2 = 1/2
 
 @pytest.fixture
 def chunk32(monkeypatch):
-    """Step ensembles in chunks of 32 members (256 otherwise)."""
+    """Step ensembles in chunks of at most 32 members (128 otherwise)."""
     monkeypatch.setattr(measure, "_CHUNK_MEMBERS", 32)
 
 
@@ -291,6 +293,79 @@ class TestEnsembleTransport:
             else:
                 weak_form_residual(e, _cylinder(5.0), bad)
         assert info.value.failed_members == list(range(8))
+
+    def test_failures_of_all_chunks_reported_alike_on_any_thread_count(self, monkeypatch):
+        # failing members in both 4-member chunks, stream ids in reverse:
+        # every chunk finishes, the ids come sorted and the message is the
+        # lowest failing chunk's, with one thread or two
+        monkeypatch.setattr(measure, "_CHUNK_MEMBERS", 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        e = init_ensemble(SPEC, UniformDensity(), 8)
+        scale = np.array([0.01, 10, 10, 0.01, 0.01, 0.01, 20, 0.01])[:, None, None]
+        wild = Ensemble(spec=SPEC, coeffs=scale * e.coeffs, weights=e.weights,
+                        stream_ids=e.stream_ids[::-1].copy())
+        p = FlowParams(cutoff=4, dt=0.05, t_end=0.05, midpoint_max_iter=8)
+        with pytest.raises(StepFailure) as low:  # the lowest chunk alone
+            _run_padded(wild.coeffs[:4], p, SpectralDrift(4), p.n_steps)
+        reports = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", workers)
+            with pytest.raises(PushforwardError) as info:
+                pushforward(wild, p)
+            reports[workers] = (str(info.value), info.value.failed_members)
+        assert reports["1"] == reports["2"]
+        assert reports["1"][1] == [1, 5, 6]
+        assert reports["1"][0] == f"{low.value} (members [1, 5, 6])"
+
+
+class TestChunkPool:
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
+    @pytest.mark.parametrize("count", [1, 3, 16, 300])
+    def test_threads_keep_bytes(self, count, integrator, monkeypatch):
+        # one thread against two: M=1 runs inline, M=3 and M=16 split in two
+        # chunks, M=300 in 128 + 128 + 44; the weak-form observer of each
+        # chunk writes only its own rows
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        e = init_ensemble(SPEC, GaussianTilt(PHI), count)
+        p = FlowParams(cutoff=4, dt=1e-2, t_end=2e-2, integrator=integrator)
+        drv = SpectralDrift(4)
+        callers = []
+        padded_drift = drv.padded_drift
+        drv.padded_drift = lambda s: callers.append(threading.get_ident()) or padded_drift(s)
+        runs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", workers)
+            callers.clear()
+            runs[workers] = (pushforward(e, p, drift_fn=drv),
+                             weak_form_residual(e, _cylinder(2e-2), p, drift_fn=drv))
+            inline = workers == "1" or count == 1
+            assert (threading.get_ident() in callers) == inline
+            assert len(set(callers)) == 1 or not inline
+        (out1, res1), (out2, res2) = runs["1"], runs["2"]
+        assert np.array_equal(out1.coeffs, out2.coeffs)
+        assert res1.residual == res2.residual and res1.std_error == res2.std_error
+        assert np.array_equal(res1.moved.coeffs, res2.moved.coeffs)
+        assert np.array_equal(res1.moved.coeffs, out1.coeffs)
+
+    def test_many_threads_many_chunks_keep_bytes(self, monkeypatch):
+        # 16 chunks on 8 threads, switching threads every microsecond: a
+        # lost write to the shared state or the weak-form totals, or a
+        # scratch pair shared across threads, would move bytes
+        monkeypatch.setattr(measure, "_CHUNK_MEMBERS", 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        e = init_ensemble(SPEC, GaussianTilt(PHI), 64)
+        p = FlowParams(cutoff=4, dt=1e-2, t_end=3e-2, integrator="implicit_midpoint")
+        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "1")
+        serial = weak_form_residual(e, _cylinder(3e-2), p)
+        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = weak_form_residual(e, _cylinder(3e-2), p)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.residual == serial.residual and pooled.std_error == serial.std_error
+        assert np.array_equal(pooled.moved.coeffs, serial.moved.coeffs)
 
 
 class TestWeakForm:
