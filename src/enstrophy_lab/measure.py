@@ -53,14 +53,11 @@ _POOL_SIZE = 4
 # Rows drawn and assembled per block; small blocks keep the temporaries
 # (draws, values, conjugates) a few MB even at N=32.
 _CHUNK_ROWS = 64
-# Members stepped together at most; it bounds memory and never changes
-# results.  Each pool thread steps one chunk at a time: two threads at 128
-# stay near the peak memory of one thread at 256.
+# Members stepped together; it bounds memory and never changes results.
+# Each pool thread steps one chunk at a time: two threads at 128 stay near
+# the peak memory of one thread at 256.  The cut never follows the thread
+# count: a failed step stops its chunk, so the cut decides what it names.
 _CHUNK_MEMBERS = 128
-# Ensembles are cut at least this many ways, so two threads share even a
-# small one.  The cut depends on M alone, never on the thread count: a
-# failed step stops its chunk, so the cut decides which members it names.
-_MIN_CHUNKS = 2
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
@@ -321,31 +318,32 @@ def _move(ensemble: Ensemble, params: FlowParams, drv: SpectralDrift,
           observer: Optional[Callable] = None) -> Ensemble:
     """The ensemble moved over [t, t + t_end], chunk by chunk on `_pool_threads()` threads.
 
-    Chunks hold min(`_CHUNK_MEMBERS`, ceil(M / `_MIN_CHUNKS`)) members, so
-    a small ensemble still spreads over two threads.  Each chunk runs through
-    `flow._run_padded`, observed by observer(sl, k, state, k1) with its
-    member slice sl when one is given; chunks share no state but the drift,
-    whose scratch is per thread, so the observer may write only row sl of
-    its results.  One thread or one chunk runs on the calling thread.  A
-    failed step stops its chunk only: once every chunk has finished, one
-    `PushforwardError` names the failed members of all chunks, sorted, with
-    the message of the lowest failing chunk, whatever the thread count or
-    the scheduling.
+    Chunks hold `_CHUNK_MEMBERS` members, the last one the rest.  Each
+    chunk runs through `flow._run_padded`, observed by
+    observer(sl, k, state, k1) with its member slice sl when one is given;
+    chunks share no state but the drift, whose scratch is per thread, so
+    the observer may write only row sl of its results.  One thread or one
+    chunk runs on the calling thread.  A failed step stops its chunk only:
+    once every chunk has finished, one `PushforwardError` names the failed
+    members of all chunks, sorted, with the message of the lowest failing
+    chunk, whatever the thread count or the scheduling.
     """
     if params.cutoff != ensemble.spec.cutoff:
         raise ValueError("flow cutoff does not match ensemble cutoff")
     coeffs = np.array(ensemble.coeffs)
     m = coeffs.shape[0]
     threads = _pool_threads()
-    size = min(_CHUNK_MEMBERS, -(-m // _MIN_CHUNKS))
-    slices = [slice(start, min(start + size, m)) for start in range(0, m, size)]
+    slices = [slice(start, min(start + _CHUNK_MEMBERS, m))
+              for start in range(0, m, _CHUNK_MEMBERS)]
 
     def run(sl: slice) -> Optional[StepFailure]:
         observe = functools.partial(observer, sl) if observer is not None else None
         try:
             coeffs[sl] = _run_padded(coeffs[sl], params, drv, params.n_steps, observe)
         except StepFailure as exc:
-            return exc
+            # its traceback would keep the chunk's arrays alive until every
+            # chunk has finished
+            return exc.with_traceback(None)
         return None
 
     if threads == 1 or len(slices) == 1:

@@ -12,6 +12,7 @@ import time
 import pytest
 
 import enstrophy_lab
+from enstrophy_lab import measure
 from enstrophy_lab.cli import BATTERY_BUILDERS, ConfigError, load_config, main, run
 from enstrophy_lab.measure import _pool_threads, env_workers
 from enstrophy_lab.verify import TestReport
@@ -277,8 +278,10 @@ class TestRun:
         assert len(json.loads(manifests["1"])["files"]) == 5  # two reports, two tables, summary
 
     def test_thread_count_keeps_failure_report_bytes(self, tmp_path, monkeypatch):
-        # the midpoint step fails at N=16 for some members of both chunks;
-        # the report names them, and its bytes must not follow the thread count
+        # the midpoint step fails at N=16 for some members of both 8-member
+        # chunks; the report names them, and its bytes must not follow the
+        # thread count
+        monkeypatch.setattr(measure, "_CHUNK_MEMBERS", 8)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = write_cfg(tmp_path / "c.json", {"seed": 1, "tests": [
             {"name": "invariance", "params": {"N": 16, "M": 16, "T": 0.01, "dt": 0.01}}]})

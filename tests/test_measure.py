@@ -316,15 +316,18 @@ class TestEnsembleTransport:
         assert reports["1"] == reports["2"]
         assert reports["1"][1] == [1, 5, 6]
         assert reports["1"][0] == f"{low.value} (members [1, 5, 6])"
+        # a failed chunk's frames, and with them its arrays, are not kept
+        assert info.value.__cause__.__traceback__ is None
 
 
 class TestChunkPool:
     @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
-    @pytest.mark.parametrize("count", [1, 3, 16, 300])
-    def test_threads_keep_bytes(self, count, integrator, monkeypatch):
-        # one thread against two: M=1 runs inline, M=3 and M=16 split in two
-        # chunks, M=300 in 128 + 128 + 44; the weak-form observer of each
-        # chunk writes only its own rows
+    @pytest.mark.parametrize("count,chunk", [(1, 128), (3, 2), (16, 8), (300, 128)])
+    def test_threads_keep_bytes(self, count, chunk, integrator, monkeypatch):
+        # one thread against two: M=1 runs inline, M=3 in 2 + 1 members,
+        # M=16 in 8 + 8, M=300 in 128 + 128 + 44; the weak-form observer of
+        # each chunk writes only its own rows
+        monkeypatch.setattr(measure, "_CHUNK_MEMBERS", chunk)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         e = init_ensemble(SPEC, GaussianTilt(PHI), count)
         p = FlowParams(cutoff=4, dt=1e-2, t_end=2e-2, integrator=integrator)
