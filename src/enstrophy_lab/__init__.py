@@ -30,19 +30,16 @@ from .dynamics import (
     quadratic_coefficients,
     quadratic_pairing,
     symmetry_integral,
-    symmetrized_kernel,
     trace_integral,
 )
-from .flow import FlowParams, StepFailure, Trajectory, divergence_check, evolve, evolve_backward, step
+from .flow import FlowParams, StepFailure, Trajectory, divergence_check, evolve, step
 from .measure import (
     DensitySpec,
     Ensemble,
     GaussianTilt,
     MeasureSpec,
     PushforwardError,
-    TruncatedDensity,
     UniformDensity,
-    density_value,
     init_ensemble,
     pushforward,
     sample_white_noise,

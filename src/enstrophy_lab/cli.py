@@ -103,6 +103,8 @@ class _Params:
     def flow(self, cutoff: int, default_T: float, default_dt: float,
              default_integrator: str = "implicit_midpoint") -> FlowParams:
         t_end = self.get("T", float, default_T)
+        if t_end <= 0:  # zero steps would check nothing
+            raise ConfigError(f"{self.path}.T", f"must be positive, got {t_end}")
         dt = self.get("dt", float, default_dt)
         integrator = self.get("integrator", str, default_integrator)
         try:
@@ -114,7 +116,7 @@ class _Params:
 def _kernel(p: _Params, cutoff: int):
     kind = p.get("kernel", str, "drift")
     if kind == "drift":
-        return quadratic_coefficients(p.field("phi", "cos_x1_plus_x2"), cutoff)
+        return quadratic_coefficients(p.field("phi", "cos_x1_plus_x2", cutoff), cutoff)
     if kind == "rank_one":
         return rank_one_form(p.field("phi", "cos_x1"), cutoff)
     if kind == "exchange":
@@ -155,7 +157,7 @@ def _build_exp_integrability(p: _Params, seed: int):
     kind = p.get("kernel", str, "exchange")
     if kind not in ("exchange", "drift"):
         raise ConfigError(f"{p.path}.kernel", f"unknown kernel kind {kind!r}")
-    phi = p.field("phi", "cos_x1_plus_x2") if kind == "drift" else None
+    phi = p.field("phi", "cos_x1_plus_x2", min(n_list)) if kind == "drift" else None
     return lambda: exp_integrability_test(phi, eps_list, MeasureSpec(cutoff=max(n_list), seed=seed),
                                           count, n_list, kernel_kind=kind)
 
@@ -166,7 +168,7 @@ def _build_cauchy(p: _Params, seed: int):
         raise ConfigError(f"{p.path}.N_list", "needs at least two cutoffs")
     n_ref = p.get("N_ref", int, max(n_list), lo=max(n_list))
     count = p.get("M", int, 10000, lo=2)
-    phi = p.field("phi", "cos_x1_plus_x2")
+    phi = p.field("phi", "cos_x1_plus_x2", min(n_list))
     return lambda: cauchy_study(phi, n_list, n_ref, MeasureSpec(cutoff=n_ref, seed=seed), count)
 
 
@@ -195,8 +197,6 @@ def _build_transport(p: _Params, seed: int):
     n = p.get("N", int, 6, lo=1)
     count = p.get("M", int, 2000, lo=2)
     flow = p.flow(n, default_T=0.5, default_dt=1e-2, default_integrator="rk4")
-    if flow.t_end == 0:
-        raise ConfigError(f"{p.path}.T", "must be positive: the weak form's time factor ramps to 0 over T")
     tilt = p.field("tilt_phi", "cos_x1", n)
     obs = p.field("obs_phi", "cos_x1", n)
     return lambda: transport_battery(MeasureSpec(cutoff=n, seed=seed), flow, tilt, obs, count)

@@ -445,12 +445,6 @@ class KernelEval:
         return val - self.leading_term(x, y)
 
 
-def symmetrized_kernel(ke: KernelEval, x, y) -> tuple[float, float]:
-    """Point evaluation of the symmetrized kernel with its truncation indicator."""
-    val, tail = ke.pair_values(np.asarray(x, float), np.asarray(y, float))
-    return float(val), float(tail)
-
-
 def _separable_axis_values(field: SpectralField, nodes: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Exact per-axis factors when the coefficient table factorizes.
 

@@ -9,7 +9,7 @@ so that downstream identities can be tested at machine precision.
 Tolerance ladder used throughout the package:
 
 * ``EXACT_TOL = 1e-12``  for identities that hold in exact arithmetic,
-* ``HARD_TOL  = 1e-9``   for validator hard failures (invariant broken).
+* ``HARD_TOL  = 1e-9``   for hard failures (invariant broken).
 """
 
 from __future__ import annotations
@@ -148,19 +148,6 @@ class GridField:
             raise ValueError("grid values must be size x size")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-
-def validate_field(field: SpectralField) -> None:
-    """Re-check the reality and cutoff invariants; raise on hard failure."""
-    arr = field.coeffs
-    d = 2 * field.cutoff + 1
-    if arr.shape != (d, d):
-        raise InvariantViolation("coefficient table shape does not match cutoff")
-    resid = np.abs(arr - np.conj(arr[::-1, ::-1])).max()
-    if resid > HARD_TOL:
-        raise InvariantViolation(f"reality constraint violated by {resid:.3e}")
-    if abs(arr[field.cutoff, field.cutoff].imag) > 0:
-        raise InvariantViolation("zero mode has an imaginary part")
 
 
 def project_coeffs(coeffs: np.ndarray, src: int, dst: int) -> np.ndarray:

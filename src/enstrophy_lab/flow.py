@@ -160,6 +160,9 @@ def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
     return drv.unpad(state)
 
 
+# Only benchmark/tracer.py (its ENTRY_POINTS wrap them by name) and tests
+# call the _step_* wrappers; they go when the tracer takes its counts from
+# the reports (ROADMAP item 5).
 def _step_batch(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift) -> np.ndarray:
     """One step of lattice tables."""
     return _run_padded(coeffs, params, drv, 1)
@@ -213,12 +216,16 @@ class Trajectory:
         return self.states[-1]
 
 
-def _evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift],
-            record_stride: int, sign: float) -> Trajectory:
+def evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift] = None,
+           record_stride: int = 1) -> Trajectory:
+    """Integrate over [0, t_end], recording diagnostics every step.
+
+    Time runs backward under the drift of opposite sign, e.g.
+    ``SpectralDrift(N, sign=-1.0)``.
+    """
     if field.cutoff != params.cutoff:
         raise ValueError("field cutoff does not match flow parameters")
-    base = _resolve_drift(drift_fn, params.cutoff)
-    drv = base if sign > 0 else SpectralDrift(params.cutoff, shift=base.shift, sign=-base.sign)
+    drv = _resolve_drift(drift_fn, params.cutoff)
     n = params.n_steps
     states = [field]
     times = [0.0]
@@ -230,8 +237,7 @@ def _evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[Spectra
         coeffs = drv.unpad(state)
         ens[k] = enstrophy(coeffs)
         ener[k] = kinetic_energy(coeffs)
-        # <b_N(w), w> of the given drift: negation commutes with the rounded sum
-        orth[k] = sign * np.sum(drv.unpad(k1) * np.conj(coeffs), axis=(-2, -1)).real
+        orth[k] = np.sum(drv.unpad(k1) * np.conj(coeffs), axis=(-2, -1)).real  # <b_N(w), w>
         if k > 0 and (k % record_stride == 0 or k == n):
             states.append(SpectralField(params.cutoff, coeffs))
             times.append(k * params.dt)
@@ -239,18 +245,6 @@ def _evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[Spectra
     _run_padded(field.coeffs, params, drv, n, observe)
     return Trajectory(times=np.asarray(times), states=states, diag_enstrophy=ens,
                       diag_energy=ener, diag_ortho=orth)
-
-
-def evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift] = None,
-           record_stride: int = 1) -> Trajectory:
-    """Integrate forward over [0, t_end], recording diagnostics every step."""
-    return _evolve(field, params, drift_fn, record_stride, sign=+1.0)
-
-
-def evolve_backward(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift] = None,
-                    record_stride: int = 1) -> Trajectory:
-    """Integrate the time-reversed dynamics dw/dt = -b(w) with b = `drift_fn` over [0, t_end]."""
-    return _evolve(field, params, drift_fn, record_stride, sign=-1.0)
 
 
 def real_coordinate_layout(cutoff: int):

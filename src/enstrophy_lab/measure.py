@@ -24,7 +24,7 @@ import functools
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -165,14 +165,9 @@ def sample_batch(spec: MeasureSpec, indices: Sequence[int]) -> np.ndarray:
     return out.reshape(m, d, d)
 
 
-def sample_coeffs(spec: MeasureSpec, index: int) -> np.ndarray:
-    """Coefficient table of sample `index`; pure function of (spec, index)."""
-    return sample_batch(spec, [index])[0]
-
-
 def sample_white_noise(spec: MeasureSpec, index: int) -> SpectralField:
     """One sample of the cutoff white-noise field."""
-    return SpectralField(spec.cutoff, sample_coeffs(spec, index))
+    return SpectralField(spec.cutoff, sample_batch(spec, [index])[0])
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -204,35 +199,6 @@ class GaussianTilt(DensitySpec):
     def values(self, coeffs: np.ndarray, cutoff: int) -> np.ndarray:
         v = pairings_batch(coeffs, cutoff, [self.phi])[..., 0]
         return np.exp(v - 0.5 * sobolev_norm(self.phi, 0.0) ** 2)
-
-
-@dataclass(frozen=True)
-class TruncatedDensity(DensitySpec):
-    """min(base, bound)/Z with Z estimated once by Monte Carlo and cached."""
-
-    base: DensitySpec
-    bound: float
-    norm_const: Optional[float] = None
-    norm_std_error: Optional[float] = None
-
-    def raw_values(self, coeffs: np.ndarray, cutoff: int) -> np.ndarray:
-        return np.minimum(self.base.values(coeffs, cutoff), self.bound)
-
-    def values(self, coeffs: np.ndarray, cutoff: int) -> np.ndarray:
-        if self.norm_const is None:
-            raise ValueError("truncated density used before estimating its normalization")
-        return self.raw_values(coeffs, cutoff) / self.norm_const
-
-    def with_normalization(self, spec: MeasureSpec, n_samples: int) -> "TruncatedDensity":
-        """Estimate Z = E min(base, bound) on a dedicated stream family."""
-        est_spec = replace(spec, seed=spec.seed + 1)
-        z, se = _mean_se(self.raw_values(sample_batch(est_spec, range(n_samples)), spec.cutoff))
-        return TruncatedDensity(self.base, self.bound, norm_const=z, norm_std_error=se)
-
-
-def density_value(density: DensitySpec, field: SpectralField) -> float:
-    """Density at a single field."""
-    return float(density.values(field.coeffs[None, ...], field.cutoff)[0])
 
 
 @dataclass(frozen=True)

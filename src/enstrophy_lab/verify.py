@@ -61,7 +61,6 @@ from .measure import (
     pairings_batch,
     pushforward,
     sample_batch,
-    sample_coeffs,
     weak_form_residual,
 )
 
@@ -514,7 +513,7 @@ def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
     base = replace(spec, cutoff=n_ref)
     forms = {n: quadratic_coefficients(phi, n) for n in n_list}
     qs = dict(zip(n_list, _pairing_values(base, count, list(forms.values()))))
-    first = SpectralField(n_ref, sample_coeffs(base, 0))
+    first = SpectralField(n_ref, sample_batch(base, [0])[0])
     for n in n_list:
         ref = dual_pairing(drift(project(first, n), n), project(phi, n))
         if abs(ref - qs[n][0]) > 1e-9 * max(1.0, abs(ref)):

@@ -23,6 +23,14 @@ def write_cfg(path, payload):
     return str(path)
 
 
+def assert_verdicts(out):
+    """Every report in `out` is a verdict: no battery raised."""
+    reports = [json.loads(p.read_text()) for p in out.glob("*.json") if p.name != "manifest.json"]
+    assert reports
+    for report in reports:
+        assert not any("battery raised" in note for note in report["notes"]), report["notes"]
+
+
 QUICK = {
     "seed": 7,
     "tests": [
@@ -102,6 +110,10 @@ class TestConfigValidation:
          "shift_amp"),
         ("exp_integrability", {"M": 200, "N_list": [2, 4], "eps_list": [0.1, float("inf")]},
          "eps_list[1]"),
+        # a zero horizon that invariance passed after zero steps, which
+        # checks nothing
+        ("invariance", {"N": 2, "M": 50, "T": 0}, "T"),
+        ("invariance_negative", {"N": 2, "M": 50, "T": 0}, "T"),
     ])
     def test_entries_checked_before_any_battery_runs(self, tmp_path, capsys, name, params, field):
         # a valid entry first: nothing may run, and no output directory appear
@@ -183,19 +195,37 @@ class TestConfigValidation:
         monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "")
         assert env_workers() is None and _pool_threads() == 2
 
-    # named fields of the batteries that step ensembles, against N; a field
-    # beyond N raised inside the battery (transport) or failed on a sigma
-    # the projected pairing never sees (invariance)
+    # the params around a named field paired at cutoff n; an N_list starts
+    # at n
+    FIT_PARAMS = {
+        "invariance": lambda n: {"N": n, "M": 50, "T": 0.02, "dt": 0.01},
+        "invariance_negative": lambda n: {"N": n, "M": 50, "T": 0.02, "dt": 0.01},
+        "transport": lambda n: {"N": n, "M": 50, "T": 0.02, "dt": 0.01},
+        "cauchy": lambda n: {"N_list": [n, n + 1], "M": 50},
+        "exp_integrability": lambda n: {"N_list": [n, n + 1], "M": 50},
+        "wick_mean": lambda n: {"N": n, "M": 1000},
+        "wick_variance": lambda n: {"N": n, "M": 50},
+    }
+
+    # named fields against the cutoffs they are paired at; a field beyond
+    # one raised inside the battery (transport, cauchy), failed on a sigma
+    # the projected pairing never sees (invariance), exited 1 (drift
+    # exp_integrability) or passed on a form that is not <b_N(w), phi>
+    # (drift wick_mean and wick_variance)
     @pytest.mark.parametrize("name,fields,field", [
         ("invariance", {"observables": ["cos_x1", "cos_2x1_plus_x2"]}, "observables[1]"),
         ("invariance_negative", {"observables": ["cos_2x1_plus_x2"]}, "observables[0]"),
         ("transport", {"tilt_phi": "cos_2x1_plus_x2"}, "tilt_phi"),
         ("transport", {"obs_phi": "cos_2x1_plus_x2"}, "obs_phi"),
+        ("cauchy", {"phi": "cos_2x1_plus_x2"}, "phi"),
+        ("exp_integrability", {"kernel": "drift", "phi": "cos_2x1_plus_x2"}, "phi"),
+        ("wick_mean", {"kernel": "drift", "phi": "cos_2x1_plus_x2"}, "phi"),
+        ("wick_variance", {"kernel": "drift", "phi": "cos_2x1_plus_x2"}, "phi"),
     ])
     @pytest.mark.parametrize("n", [1, 2])  # cos_2x1_plus_x2 has modes up to 2
     def test_named_fields_fit_their_cutoff(self, tmp_path, capsys, name, fields, field, n):
         cfg = write_cfg(tmp_path / "c.json", {"seed": 3, "tests": [
-            {"name": name, "params": dict({"N": n, "M": 50, "T": 0.02, "dt": 0.01}, **fields)}]})
+            {"name": name, "params": dict(self.FIT_PARAMS[name](n), **fields)}]})
         out = tmp_path / "out"
         code = run(cfg, out_dir=str(out))
         if n == 1:
@@ -205,8 +235,28 @@ class TestConfigValidation:
             assert not out.exists()
         else:
             assert code in (0, 1)
-            report = json.loads((out / f"{name}.json").read_text())
-            assert not any("battery raised" in note for note in report["notes"])
+            assert_verdicts(out)
+
+    # the smallest config each battery and kernel kind accepts: cutoffs 1
+    # and 2, the fewest samples, one step of each integrator
+    @pytest.mark.parametrize("name,params", [
+        *[("wick_mean", {"N": 1, "M": 1000, "kernel": k}) for k in ("drift", "rank_one", "exchange")],
+        *[("wick_variance", {"N": 1, "M": 2, "kernel": k}) for k in ("drift", "rank_one", "exchange")],
+        ("moment_bound", {"N": 1, "M": 2, "p": 2}),
+        ("moment_bound", {"N": 1, "M": 2, "p": 6}),
+        *[("exp_integrability", {"N_list": nl, "M": 2, "kernel": k})
+          for k in ("exchange", "drift") for nl in ([1], [1, 2])],
+        ("cauchy", {"N_list": [1, 2], "M": 2}),
+        ("dirichlet_kernel", {"N_list": [1]}),
+        *[(name, {"N": 1, "M": 2, "T": 0.01, "dt": 0.01, "integrator": i})
+          for name in ("invariance", "invariance_negative", "transport")
+          for i in ("rk4", "implicit_midpoint")],
+    ])
+    def test_smallest_accepted_config_ends_in_a_verdict(self, tmp_path, name, params):
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 3, "tests": [{"name": name, "params": params}]})
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=str(out)) in (0, 1)
+        assert_verdicts(out)
 
 
 class TestRun:

@@ -17,7 +17,6 @@ from enstrophy_lab.flow import (
     divergence_check,
     enstrophy,
     evolve,
-    evolve_backward,
     step,
 )
 from conftest import white_field
@@ -141,7 +140,7 @@ class TestEvolve:
         w = unit_field(8)
         p = FlowParams(cutoff=8, dt=1e-2, t_end=1.0)
         fwd = evolve(w, p, record_stride=1000)
-        back = evolve_backward(fwd.final, p, record_stride=1000)
+        back = evolve(fwd.final, p, SpectralDrift(8, sign=-1.0), record_stride=1000)
         err = np.linalg.norm(back.final.coeffs - w.coeffs) / np.linalg.norm(w.coeffs)
         assert err <= 1e-6
 
@@ -173,7 +172,7 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(unit_field(4), FlowParams(cutoff=6, dt=1e-2, t_end=0.1))
 
-    @pytest.mark.parametrize("entry", [step, evolve, evolve_backward])
+    @pytest.mark.parametrize("entry", [step, evolve])
     def test_mismatched_drift_rejected_up_front(self, entry):
         p = FlowParams(cutoff=4, dt=1e-2, t_end=0.1, integrator="rk4")
         with pytest.raises(ValueError, match="drift cutoff 6 does not match flow cutoff 4"):
@@ -215,7 +214,7 @@ def _golden_digest(entry, integrator, kind, cutoff):
     drv = _golden_drift(kind, cutoff)
     if entry == "step":
         return hashlib.sha256(step(w, p, drv).coeffs.tobytes()).hexdigest()
-    traj = (evolve if entry == "evolve" else evolve_backward)(w, p, drv, record_stride=2)
+    traj = evolve(w, p, drv, record_stride=2)
     h = hashlib.sha256()
     for s in traj.states:
         h.update(s.coeffs.tobytes())
@@ -224,9 +223,9 @@ def _golden_digest(entry, integrator, kind, cutoff):
     return h.hexdigest()
 
 
-# sha256 of step output, and of evolve/evolve_backward states, times and
-# diagnostics, recorded before every integrator moved to the padded layout
-# and re-recorded with 0.5.0, whose smaller dealiasing grids move the last
+# sha256 of step output, and of evolve states, times and diagnostics,
+# recorded before every integrator moved to the padded layout and
+# re-recorded with 0.5.0, whose smaller dealiasing grids move the last
 # bits of every drift and whose drift is exactly zero in mode (0, 0).
 # Keys are (entry, integrator, drift, cutoff); "reversed" is sign -1 and
 # "shifted" adds a constant table.
@@ -263,22 +262,6 @@ FLOW_DIGESTS = {
     ("evolve", "implicit_midpoint", "shifted", 8): "e308cc102e6d9c39609923031acb081ea1f32900e92ec19d9cb8ae2ef1ac8c3d",
     ("evolve", "implicit_midpoint", "shifted_reversed", 4): "368468764fc90cedcd5625bb1454dadf3ed0384ddaeec449c0870e3aa641d964",
     ("evolve", "implicit_midpoint", "shifted_reversed", 8): "8db348d8bfcdb4c545b5c4d6313abb815897bb633f71ffffc81945ec64995a47",
-    ("evolve_backward", "rk4", "default", 4): "1d201e71eaf0a5eb3855c436251c42e654aa95ae5e253b1a75a0e09a2ec64089",
-    ("evolve_backward", "rk4", "default", 8): "5cf26f027eba059876d8fa1e4e733ef17ff056ad26ba3592cb81a74f1373a662",
-    ("evolve_backward", "rk4", "reversed", 4): "7657d0f2e73670c516c07525474878bdd8c974943d204ee845491713499eeaa2",
-    ("evolve_backward", "rk4", "reversed", 8): "75e33fdfb2f3e53202b842689c862aba3a784ce7defa8fac2ec5da2e49fdcac5",
-    ("evolve_backward", "rk4", "shifted", 4): "6006dc10a6b8985716bff088f3d7a35e0e392dcb9e16704fb48c431416e9424f",
-    ("evolve_backward", "rk4", "shifted", 8): "f469c2c07bca01b51ee01889d122c19e1369bded5624321e9d44cec42a96ac24",
-    ("evolve_backward", "rk4", "shifted_reversed", 4): "735ab9b611f65a5c0db9add31174f185f7513ef93cf819d0290bb8ac226ee8e0",
-    ("evolve_backward", "rk4", "shifted_reversed", 8): "aa9cfeef0022b9b0d0f74f6fd2399b53d688496d933ee72354104ea68d619993",
-    ("evolve_backward", "implicit_midpoint", "default", 4): "8188dcf4085171e0870f0e96e92d6045901cf2bc014ced0717e9317174bc996c",
-    ("evolve_backward", "implicit_midpoint", "default", 8): "019b45d335639dd180d3c631a52402116f5373db88072aaea70ee5b3b48a4fdd",
-    ("evolve_backward", "implicit_midpoint", "reversed", 4): "a16b0f03a29ac53df09bc840a62c6ffbaa067570d636cab8896e0b7c1d41e19f",
-    ("evolve_backward", "implicit_midpoint", "reversed", 8): "16b325ee8baf3ea6904eeaa18e6dea83432ee0eb344c00056570e6739602b598",
-    ("evolve_backward", "implicit_midpoint", "shifted", 4): "dc55ae2fe3a23a01e1688d88772c3da5e840f18d4c66a90ff5aa66326abfbd07",
-    ("evolve_backward", "implicit_midpoint", "shifted", 8): "964be0b2981580394601edd9fced43c33ba2559a81825d81d21fd0fd234e9eb7",
-    ("evolve_backward", "implicit_midpoint", "shifted_reversed", 4): "f7c16a2fe4374b11f7a0b58b34db5696d81cb336462bde7af9c52f9b9f98c390",
-    ("evolve_backward", "implicit_midpoint", "shifted_reversed", 8): "8476045be975055a5ee025ce5ce51b2117af901d2865d6a16c247e80d72a9272",
 }
 
 

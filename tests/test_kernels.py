@@ -6,7 +6,6 @@ import pytest
 from enstrophy_lab.dynamics import (
     KernelEval,
     quadratic_coefficients,
-    symmetrized_kernel,
     symmetry_integral,
     trace_integral,
 )
@@ -38,14 +37,14 @@ class TestKernelEval:
     def test_pair_symmetric(self, ke):
         x = np.array([0.31, 0.17])
         y = np.array([0.62, 0.88])
-        v1, tail = symmetrized_kernel(ke, x, y)
-        v2, _ = symmetrized_kernel(ke, y, x)
+        v1, tail = ke.pair_values(x, y)
+        v2, _ = ke.pair_values(y, x)
         assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
         assert tail >= 0.0
 
     def test_diagonal_rejected(self, ke):
         with pytest.raises(ValueError):
-            symmetrized_kernel(ke, [0.25, 0.25], [0.25, 0.25])
+            ke.pair_values([0.25, 0.25], [0.25, 0.25])
 
     def test_bounded_off_diagonal(self, ke, rng):
         # sup over a coarse and a fine off-diagonal sample stays at one scale

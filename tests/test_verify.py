@@ -241,14 +241,16 @@ class TestBlockedPairing:
             assert got.shape == (count,)
             assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("battery", [
-        lambda spec, m: wick_mean_test(exchange_kernel(2), spec, m),
-        lambda spec, m: wick_variance_test(exchange_kernel(2), spec, m),
-        lambda spec, m: moment_bound_test(exchange_kernel(2), 3, spec, m),
-        lambda spec, m: exp_integrability_test(None, [0.1], spec, m, [1, 2]),
-        lambda spec, m: cauchy_study(TestBlockedPairing.PHI, [1, 2], 2, spec, m),
+    # `redraws`: cauchy draws sample 0 once more, alone, to cross-check its
+    # pairings against the drift route
+    @pytest.mark.parametrize("battery,redraws", [
+        (lambda spec, m: wick_mean_test(exchange_kernel(2), spec, m), 0),
+        (lambda spec, m: wick_variance_test(exchange_kernel(2), spec, m), 0),
+        (lambda spec, m: moment_bound_test(exchange_kernel(2), 3, spec, m), 0),
+        (lambda spec, m: exp_integrability_test(None, [0.1], spec, m, [1, 2]), 0),
+        (lambda spec, m: cauchy_study(TestBlockedPairing.PHI, [1, 2], 2, spec, m), 1),
     ], ids=["wick_mean", "wick_variance", "moment_bound", "exp_integrability", "cauchy"])
-    def test_batteries_draw_in_blocks(self, monkeypatch, battery):
+    def test_batteries_draw_in_blocks(self, monkeypatch, battery, redraws):
         sizes = []
 
         def recording(spec, indices):
@@ -257,4 +259,6 @@ class TestBlockedPairing:
 
         monkeypatch.setattr(verify, "sample_batch", recording)
         battery(MeasureSpec(cutoff=2, seed=3), 1300)
-        assert sum(sizes) == 1300 and max(sizes) <= 512
+        blocks = sizes[: len(sizes) - redraws]
+        assert sum(blocks) == 1300 and max(blocks) <= 512
+        assert sizes[len(blocks):] == [1] * redraws
