@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .flow import FlowParams
@@ -36,6 +37,7 @@ from .verify import (
     wick_variance_test,
     write_summary_csv,
     _atomic_write,
+    _pairing_values,
 )
 
 
@@ -124,30 +126,73 @@ def _kernel(p: _Params, cutoff: int):
     raise ConfigError(f"{p.path}.kernel", f"unknown kernel kind {kind!r}")
 
 
-# Each builder validates its params and returns the battery as a thunk, so
-# that every entry is checked before any battery runs.  Cutoffs start at 1;
-# Monte Carlo counts at 2, the fewest that give a standard error.
+class _Draw(NamedTuple):
+    """A pairing battery's draw: samples 0..count-1 of `spec`, paired with `forms`."""
+
+    spec: MeasureSpec
+    count: int
+    forms: list
+    battery: Callable  # battery(pairings) runs it on a reader like `_pairing_values`
+
+
+class _DrawPool:
+    """One `_pairing_values` pass per measure and run, made at its first reader.
+
+    A pass covers the largest declared count and every declared form; each
+    reader gets the first `count` values of its own forms, which equal a pass
+    of its own because rows are pure functions of (spec, index).  A pass that
+    raises raises again for every reader of its measure.
+    """
+
+    def __init__(self):
+        self._plans: dict = {}   # spec -> (largest count, forms)
+        self._passes: dict = {}  # spec -> values, or the exception its pass raised
+
+    def bind(self, draw: _Draw) -> Callable:
+        """Declare `draw`; return its battery as a thunk that reads the pool."""
+        largest, declared = self._plans.get(draw.spec, (0, []))
+        first = len(declared)
+        self._plans[draw.spec] = (max(largest, draw.count), declared + draw.forms)
+
+        def read(spec, count, forms):
+            assert (spec, count, len(forms)) == (draw.spec, draw.count, len(draw.forms))
+            if spec not in self._passes:
+                try:
+                    self._passes[spec] = _pairing_values(spec, *self._plans[spec])
+                except Exception as exc:
+                    self._passes[spec] = exc
+            if isinstance(self._passes[spec], Exception):
+                raise self._passes[spec]
+            return [v[:count].copy() for v in self._passes[spec][first : first + len(forms)]]
+        return lambda: draw.battery(read)
+
+
+# Each builder validates its params and returns the battery as a thunk, or,
+# for a pairing battery, as a `_Draw`, so that every entry is checked before
+# any battery runs.  Cutoffs start at 1; Monte Carlo counts at 2, the fewest
+# that give a standard error.
 
 def _build_wick_mean(p: _Params, seed: int):
     n = p.get("N", int, 4, lo=1)
     count = p.get("M", int, 10000, lo=1000)
-    kernel = _kernel(p, n)
-    return lambda: wick_mean_test(kernel, MeasureSpec(cutoff=n, seed=seed), count)
+    kernel, spec = _kernel(p, n), MeasureSpec(cutoff=n, seed=seed)
+    return _Draw(spec, count, [kernel], lambda read: wick_mean_test(kernel, spec, count, read))
 
 
 def _build_wick_variance(p: _Params, seed: int):
     n = p.get("N", int, 4, lo=1)
     count = p.get("M", int, 10000, lo=2)
-    kernel = _kernel(p, n)
-    return lambda: wick_variance_test(kernel, MeasureSpec(cutoff=n, seed=seed), count)
+    kernel, spec = _kernel(p, n), MeasureSpec(cutoff=n, seed=seed)
+    return _Draw(spec, count, [kernel], lambda read: wick_variance_test(kernel, spec, count, read))
 
 
 def _build_moment_bound(p: _Params, seed: int):
     n = p.get("N", int, 4, lo=1)
     count = p.get("M", int, 10000, lo=2)
     order = p.get("p", int, 2, lo=2, hi=6)
-    return lambda: moment_bound_test(exchange_kernel(n), order, MeasureSpec(cutoff=n, seed=seed),
-                                     count)
+    kernel, spec = exchange_kernel(n), MeasureSpec(cutoff=n, seed=seed)
+    return _Draw(spec, count, [kernel],
+                 lambda read: moment_bound_test(kernel, order, spec, count, pairings=read))
 
 
 def _build_exp_integrability(p: _Params, seed: int):
@@ -158,8 +203,11 @@ def _build_exp_integrability(p: _Params, seed: int):
     if kind not in ("exchange", "drift"):
         raise ConfigError(f"{p.path}.kernel", f"unknown kernel kind {kind!r}")
     phi = p.field("phi", "cos_x1_plus_x2", min(n_list)) if kind == "drift" else None
-    return lambda: exp_integrability_test(phi, eps_list, MeasureSpec(cutoff=max(n_list), seed=seed),
-                                          count, n_list, kernel_kind=kind)
+    spec = MeasureSpec(cutoff=max(n_list), seed=seed)
+    forms = [quadratic_coefficients(phi, n) if phi is not None else exchange_kernel(n)
+             for n in sorted(n_list)]
+    return _Draw(spec, count, forms, lambda read: exp_integrability_test(
+        phi, eps_list, spec, count, n_list, kernel_kind=kind, pairings=read))
 
 
 def _build_cauchy(p: _Params, seed: int):
@@ -169,7 +217,10 @@ def _build_cauchy(p: _Params, seed: int):
     n_ref = p.get("N_ref", int, max(n_list), lo=max(n_list))
     count = p.get("M", int, 10000, lo=2)
     phi = p.field("phi", "cos_x1_plus_x2", min(n_list))
-    return lambda: cauchy_study(phi, n_list, n_ref, MeasureSpec(cutoff=n_ref, seed=seed), count)
+    spec = MeasureSpec(cutoff=n_ref, seed=seed)
+    forms = [quadratic_coefficients(phi, n) for n in sorted(n_list)]
+    return _Draw(spec, count, forms,
+                 lambda read: cauchy_study(phi, n_list, n_ref, spec, count, pairings=read))
 
 
 def _build_invariance(p: _Params, seed: int, expect_fail: bool = False):
@@ -223,7 +274,7 @@ def _known_keys(obj: dict, known, path: str) -> None:
 
 
 def _prepare(i: int, entry: dict, seed: int):
-    """Validate one config entry; return its battery as a thunk."""
+    """Validate one config entry; return its battery as a thunk or a `_Draw`."""
     p = _Params(entry.get("params", {}), f"tests[{i}].params")
     job = BATTERY_BUILDERS[entry["name"]](p, seed)
     _known_keys(p.params, p.read, f"{p.path}.")
@@ -281,6 +332,8 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
         seed = seed_override if seed_override is not None else cfg.get("seed", 0)
         tests = cfg.get("tests", [])
         jobs = [_prepare(i, entry, seed) for i, entry in enumerate(tests)]
+        pool = _DrawPool()
+        jobs = [pool.bind(job) if isinstance(job, _Draw) else job for job in jobs]
     except (ConfigError, ValueError) as exc:  # ValueError: ENSTROPHY_LAB_WORKERS
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -529,17 +529,20 @@ class TraceEstimate:
     error: float
 
 
-def trace_integral(ke: KernelEval, cutoff: int, size: int) -> TraceEstimate:
+def trace_integral(ke: KernelEval, cutoff: int, size: int,
+                   tables: Optional[dict] = None) -> TraceEstimate:
     """Quadrature of the double integral of theta_N(x-y) H(x, y) over the torus.
 
     Offset midpoint grids keep x != y everywhere.  The exact value vanishes
     at every cutoff (the spectral trace of the drift form is identically
     zero), so the returned number measures quadrature plus truncation
     error; the error field reports an independent re-evaluation difference
-    plus a roundoff allowance.
+    plus a roundoff allowance.  The kernel sums do not depend on the cutoff;
+    one `tables` dict passed for every cutoff computes them once.
     """
     if size < 4 * cutoff + 4:
         raise ValueError("quadrature size must be at least 4N+4")
+    tables = {} if tables is None else tables
 
     def one(sz: int, k_cut: int) -> tuple[float, float]:
         xs = (np.arange(sz) + 0.25) / sz
@@ -547,7 +550,9 @@ def trace_integral(ke: KernelEval, cutoff: int, size: int) -> TraceEstimate:
         diff = (np.arange(-(sz - 1), sz) - 0.5) / sz
         z1, z2 = np.meshgrid(diff, diff, indexing="ij")
         zpts = np.stack([z1, z2], axis=-1)
-        kv = ke._kernel_sum(zpts, k_cut)
+        if (sz, k_cut) not in tables:
+            tables[sz, k_cut] = ke._kernel_sum(zpts, k_cut)
+        kv = tables[sz, k_cut]
         theta = dirichlet_values(cutoff, diff)
         wk = theta[:, None, None] * theta[None, :, None] * kv.reshape(2 * sz - 1, 2 * sz - 1, 2)
         x1g, x2g = np.meshgrid(xs, xs, indexing="ij")

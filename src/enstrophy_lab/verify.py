@@ -296,7 +296,10 @@ def _pairing_values(spec: MeasureSpec, count: int,
 
     Samples are drawn in blocks of `_BLOCK` and projected to each form's
     cutoff.  Every pairing is row-independent, so the values equal those of
-    one whole-batch pairing bit for bit.
+    one whole-batch pairing bit for bit, and the first M values of a larger
+    count equal those of count M.  So `cli.run` makes one pass per measure,
+    at its largest count and over every battery's forms, and passes each
+    battery the prefix of its own forms as `pairings`.
     """
     values = [np.empty(count) for _ in forms]
     for start in range(0, count, _BLOCK):
@@ -307,13 +310,14 @@ def _pairing_values(spec: MeasureSpec, count: int,
     return values
 
 
-def wick_mean_test(kernel: QuadraticForm, spec: MeasureSpec, count: int) -> TestReport:
+def wick_mean_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
+                   pairings=_pairing_values) -> TestReport:
     """Gaussian mean identity: MC mean of the pairing equals the mode trace."""
     if count < 10 ** 3:
         raise ValueError("mean test needs at least 1000 samples")
     if spec.cutoff != kernel.cutoff:
         raise ValueError("kernel and measure cutoffs differ")
-    q, = _pairing_values(spec, count, [kernel])
+    q, = pairings(spec, count, [kernel])
     mean, se = _mean_se(q)
     trace = kernel.trace()
     passed = abs(mean - trace) <= 3.0 * se
@@ -329,11 +333,12 @@ def wick_mean_test(kernel: QuadraticForm, spec: MeasureSpec, count: int) -> Test
     )
 
 
-def wick_variance_test(kernel: QuadraticForm, spec: MeasureSpec, count: int) -> TestReport:
+def wick_variance_test(kernel: QuadraticForm, spec: MeasureSpec, count: int,
+                       pairings=_pairing_values) -> TestReport:
     """Gaussian variance identity for symmetric kernels: Var = 2 sum |A|^2."""
     if spec.cutoff != kernel.cutoff:
         raise ValueError("kernel and measure cutoffs differ")
-    q, = _pairing_values(spec, count, [kernel])
+    q, = pairings(spec, count, [kernel])
     centred = q - kernel.trace()
     var = float(np.mean(centred ** 2))
     m4 = float(np.mean(centred ** 4))
@@ -359,7 +364,7 @@ def moment_bound(p: int) -> float:
 
 
 def moment_bound_test(kernel: QuadraticForm, p: int, spec: MeasureSpec, count: int,
-                      sup_norm: float = 1.0) -> TestReport:
+                      sup_norm: float = 1.0, pairings=_pairing_values) -> TestReport:
     """p-th absolute moment of the pairing against the factorial-type bound."""
     if not 2 <= p <= 6:
         raise ValueError("moment order restricted to 2..6 (noise grows too fast above)")
@@ -367,7 +372,7 @@ def moment_bound_test(kernel: QuadraticForm, p: int, spec: MeasureSpec, count: i
         raise ValueError("kernel must be normalized to sup norm at most 1")
     if spec.cutoff != kernel.cutoff:
         raise ValueError("kernel and measure cutoffs differ")
-    q = np.abs(_pairing_values(spec, count, [kernel])[0]) ** p
+    q = np.abs(pairings(spec, count, [kernel])[0]) ** p
     est, se = _mean_se(q)
     bound = moment_bound(p) * sup_norm ** p
     passed = est + 3.0 * se <= bound
@@ -417,7 +422,7 @@ def series_check(eps: float, p_max: int = 400) -> dict:
 
 def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[float],
                            spec: MeasureSpec, count: int, n_list: Sequence[int],
-                           kernel_kind: str = "exchange") -> TestReport:
+                           kernel_kind: str = "exchange", pairings=_pairing_values) -> TestReport:
     """Exponential moments of a sup-normalized pairing across cutoffs.
 
     For eps <= 0.4 the estimates must be finite and free of a growth trend
@@ -443,7 +448,7 @@ def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[floa
         raise ValueError(f"unknown kernel kind {kernel_kind!r}")
     forms = [quadratic_coefficients(phi, n) if kernel_kind == "drift" else exchange_kernel(n)
              for n in n_list]
-    for n, q in zip(n_list, _pairing_values(base, count, forms)):
+    for n, q in zip(n_list, pairings(base, count, forms)):
         q = q / sup
         for eps in eps_list:
             vals = np.exp(eps * np.abs(q))
@@ -499,7 +504,7 @@ def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[floa
 
 
 def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
-                 spec: MeasureSpec, count: int) -> TestReport:
+                 spec: MeasureSpec, count: int, pairings=_pairing_values) -> TestReport:
     """Mean-square truncation increments against the spectral prediction.
 
     Common samples at the reference cutoff are truncated to each listed
@@ -512,7 +517,7 @@ def cauchy_study(phi: SpectralField, n_list: Sequence[int], n_ref: int,
         raise ValueError("reference cutoff must dominate the cutoff list")
     base = replace(spec, cutoff=n_ref)
     forms = {n: quadratic_coefficients(phi, n) for n in n_list}
-    qs = dict(zip(n_list, _pairing_values(base, count, list(forms.values()))))
+    qs = dict(zip(n_list, pairings(base, count, list(forms.values()))))
     first = SpectralField(n_ref, sample_batch(base, [0])[0])
     for n in n_list:
         ref = dual_pairing(drift(project(first, n), n), project(phi, n))
@@ -630,6 +635,7 @@ def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int 
     rows = []
     passed = True
     trace_rows = []
+    tables: dict = {}  # kernel sums of `ke`, shared by every cutoff
     for n in sorted(n_list):
         dvals = dirichlet_values(n, nodes)
         theta = np.outer(dvals, dvals)
@@ -641,7 +647,7 @@ def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int 
         wcoef = grid_to_coeffs(conv, n)
         conv_dev = float(np.abs(wcoef - 1.0).max())
         sym_vals = [abs(symmetry_integral(dirichlet_kernel(n), s, size)) for s in s_basis]
-        est = trace_integral(ke, n, size)
+        est = trace_integral(ke, n, size, tables)
         spectral = quadratic_coefficients(phi, n).trace()
         ok = (
             swap_dev <= 1e-13

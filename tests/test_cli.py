@@ -12,9 +12,9 @@ import time
 import pytest
 
 import enstrophy_lab
-from enstrophy_lab import measure
+from enstrophy_lab import measure, verify
 from enstrophy_lab.cli import BATTERY_BUILDERS, ConfigError, load_config, main, run
-from enstrophy_lab.measure import _pool_threads, env_workers
+from enstrophy_lab.measure import MeasureSpec, _pool_threads, env_workers
 from enstrophy_lab.verify import TestReport
 
 
@@ -450,6 +450,90 @@ class TestRun:
         path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
         with open(path, "rb") as fh:
             assert tomllib.load(fh)["project"]["version"] == enstrophy_lab.__version__
+
+
+def _pairing_tests(n_small, n_big):
+    """Every pairing battery: three moment orders share wick_mean's streams,
+    and wick_variance, exp_integrability and cauchy share one measure at `n_big`."""
+    return [
+        {"name": "wick_mean", "params": {"N": n_small, "M": 1000, "kernel": "rank_one",
+                                         "phi": "cos_x1"}},
+        *({"name": "moment_bound", "params": {"N": n_small, "M": 1000, "p": p}} for p in (2, 3, 4)),
+        {"name": "wick_variance", "params": {"N": n_big, "M": 700, "kernel": "rank_one",
+                                             "phi": "cos_x1"}},
+        {"name": "exp_integrability", "params": {"N_list": [2, n_big], "M": 1300,
+                                                 "eps_list": [0.1, 0.4], "kernel": "drift"}},
+        {"name": "cauchy", "params": {"N_list": [2, 4], "N_ref": n_big, "M": 900}},
+    ]
+
+
+class TestSharedDraws:
+    """`run` draws each measure's streams in one pass that all its readers share."""
+
+    def test_each_stream_drawn_once(self, tmp_path, monkeypatch):
+        rows = []
+        original = verify.sample_batch
+
+        def counting(spec, indices):
+            rows.extend((spec, int(i)) for i in indices)
+            return original(spec, indices)
+
+        monkeypatch.setattr(verify, "sample_batch", counting)
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 5, "tests": _pairing_tests(3, 6)})
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=str(out)) in (0, 1)
+        assert_verdicts(out)
+        distinct = set(rows)
+        assert len(distinct) == 1000 + 1300  # largest count under each measure
+        # cauchy cross-checks sample 0 of its measure against the drift route
+        assert len(rows) == len(distinct) + 1
+        assert rows.count((MeasureSpec(cutoff=6, seed=5), 0)) == 2
+
+    def test_shared_run_matches_solo_runs(self, tmp_path):
+        # 700 and 900 are prefixes of the 1300-sample pass that are not
+        # multiples of its 512-sample blocks
+        tests = _pairing_tests(3, 6)
+        cfg = write_cfg(tmp_path / "all.json", {"seed": 8, "tests": tests})
+        assert run(cfg, out_dir=str(tmp_path / "all")) in (0, 1)
+        assert_verdicts(tmp_path / "all")
+        compared = 0
+        for i, entry in enumerate(tests):
+            cfg = write_cfg(tmp_path / f"{i}.json", {"seed": 8, "tests": [entry]})
+            solo = tmp_path / f"solo{i}"
+            run(cfg, out_dir=str(solo))
+            for path in solo.iterdir():
+                if path.suffix in (".json", ".csv") and path.stem not in ("manifest", "summary"):
+                    assert path.read_bytes() == (tmp_path / "all" / path.name).read_bytes(), path
+                    compared += 1
+        assert compared == 2 * len(tests)
+
+    def test_failing_pass_stays_contained(self, tmp_path, monkeypatch, capsys):
+        passes = []
+        original = verify.sample_batch
+
+        def failing(spec, indices):
+            if spec.cutoff == 6:
+                passes.append(spec)
+                raise RuntimeError("sampler down")
+            return original(spec, indices)
+
+        monkeypatch.setattr(verify, "sample_batch", failing)
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 5, "tests": _pairing_tests(3, 6)})
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=str(out)) == 1
+        assert len(passes) == 1  # the pass is not retried for later readers
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # a battery that raises writes its report under its config entry's name
+        for name in ("wick_mean", "moment_bound_p2", "moment_bound_p3", "moment_bound_p4",
+                     "wick_variance", "exp_integrability", "cauchy"):
+            report = json.loads((out / f"{name}.json").read_text())
+            raised = [n for n in report["notes"] if n.startswith("battery raised")]
+            if name in ("wick_variance", "exp_integrability", "cauchy"):
+                assert raised == ["battery raised: RuntimeError('sampler down')"], name
+                assert not report["passed"]
+            else:
+                assert not raised and report["passed"], name
 
 
 class TestBundledConfig:

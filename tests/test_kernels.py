@@ -123,6 +123,14 @@ class TestTraceIntegral:
     def test_spectral_route_exact_zero(self):
         assert quadratic_coefficients(PHI, 4).trace() == 0.0
 
+    def test_shared_tables_keep_bytes(self, ke):
+        # the kernel sums do not depend on the cutoff; sharing them across
+        # cutoffs must not move a bit
+        tables: dict = {}
+        for n in (1, 2, 3):
+            assert trace_integral(ke, n, 16, tables) == trace_integral(ke, n, 16)
+        assert sorted(tables) == [(16, ke.k_max), (20, max(1, ke.k_max // 2))]
+
     def test_size_precondition(self, ke):
         with pytest.raises(ValueError):
             trace_integral(ke, 4, 16)
