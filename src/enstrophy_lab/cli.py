@@ -281,6 +281,15 @@ def _prepare(i: int, entry: dict, seed: int):
     return job
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct: a repeated key would overwrite silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ConfigError(key, "repeated in one JSON object")
+    return obj
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
@@ -288,7 +297,7 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -334,11 +343,14 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
         jobs = [_prepare(i, entry, seed) for i, entry in enumerate(tests)]
         pool = _DrawPool()
         jobs = [pool.bind(job) if isinstance(job, _Draw) else job for job in jobs]
+        field, out = ("--out-dir", out_dir) if out_dir is not None else ("out_dir", cfg.get("out_dir", "reports"))
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:  # an empty path, an existing file, or a path under one
+            raise ConfigError(field, f"{exc.strerror}: {out!r}") from None
     except (ConfigError, ValueError) as exc:  # ValueError: ENSTROPHY_LAB_WORKERS
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = out_dir or cfg.get("out_dir", "reports")
-    os.makedirs(out, exist_ok=True)
 
     reports = []
     for entry, job in zip(tests, jobs):

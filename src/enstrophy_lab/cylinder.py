@@ -73,15 +73,15 @@ def ramp_down(horizon: float) -> tuple[TimeFn, TimeFn]:
     return (lambda t: (horizon - t) / horizon), (lambda t: -1.0 / horizon)
 
 
-def bounded_window(scale: float = 1.0) -> tuple[ArrayFn, ArrayFn]:
-    """f(v) = tanh(v/scale) on the first pairing: bounded with bounded gradient."""
+def bounded_window() -> tuple[ArrayFn, ArrayFn]:
+    """f(v) = tanh(v) on the first pairing: bounded with bounded gradient."""
 
     def f(v: np.ndarray) -> np.ndarray:
-        return np.tanh(v[:, 0] / scale)
+        return np.tanh(v[:, 0])
 
     def grad(v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
-        out[:, 0] = (1.0 / np.cosh(v[:, 0] / scale)) ** 2 / scale
+        out[:, 0] = (1.0 / np.cosh(v[:, 0])) ** 2
         return out
 
     return f, grad

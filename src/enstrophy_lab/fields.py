@@ -92,17 +92,12 @@ class SpectralField:
         return cls(cutoff, np.zeros((d, d), dtype=complex))
 
     @classmethod
-    def from_modes(
-        cls,
-        cutoff: int,
-        modes: Mapping[tuple[int, int], complex],
-        zero_mode: float = 0.0,
-    ) -> "SpectralField":
+    def from_modes(cls, cutoff: int, modes: Mapping[tuple[int, int], complex]) -> "SpectralField":
         """Build a field from mode amplitudes, mirroring conjugates.
 
         Each supplied mode n also sets -n to the conjugate value.  Supplying
-        both members of a pair is allowed when consistent; the zero mode must
-        be real and may be given either via ``zero_mode`` or key (0, 0).
+        both members of a pair is allowed when consistent; the zero mode,
+        key (0, 0), must be real.
         """
         d = 2 * cutoff + 1
         arr = np.zeros((d, d), dtype=complex)
@@ -114,7 +109,7 @@ class SpectralField:
             if (n1, n2) == (0, 0):
                 if abs(v.imag) > 0:
                     raise InvariantViolation("zero mode must be real")
-                zero_mode = v.real
+                arr[cutoff, cutoff] = v.real
                 continue
             for key, val in (((n1, n2), v), ((-n1, -n2), v.conjugate())):
                 if key in seen and abs(seen[key] - val) > HARD_TOL:
@@ -122,7 +117,6 @@ class SpectralField:
                 seen[key] = val
         for (n1, n2), v in seen.items():
             arr[n1 + cutoff, n2 + cutoff] = v
-        arr[cutoff, cutoff] = float(zero_mode)
         return cls(cutoff, arr)
 
     def coeff(self, n1: int, n2: int) -> complex:

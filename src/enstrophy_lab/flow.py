@@ -27,11 +27,15 @@ import numpy as np
 from .dynamics import SpectralDrift, _inverse_norm_sq
 from .fields import SpectralField, half_lattice_mask, project
 
+# The midpoint solver's increment tolerance, relative to max(1, |w_i|), and its sweep budget.
+_MIDPOINT_TOL = 1e-12
+_MIDPOINT_MAX_ITER = 50
+
 
 class StepFailure(Exception):
     """Implicit midpoint iteration failed to converge within the budget."""
 
-    def __init__(self, message: str, iterations: int, residual: float, member_mask=None):
+    def __init__(self, message: str, iterations: int, residual: float, member_mask: np.ndarray):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
@@ -46,18 +50,12 @@ class FlowParams:
     dt: float
     t_end: float
     integrator: str = "implicit_midpoint"
-    midpoint_tol: float = 1e-12
-    midpoint_max_iter: int = 50
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
-        if not (math.isfinite(self.midpoint_tol) and self.midpoint_tol > 0):
-            raise ValueError(f"midpoint_tol must be positive and finite, got {self.midpoint_tol}")
-        if self.midpoint_max_iter < 1:
-            raise ValueError(f"midpoint_max_iter must be at least 1, got {self.midpoint_max_iter}")
         if self.integrator not in ("rk4", "implicit_midpoint"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         ratio = self.t_end / self.dt
@@ -103,23 +101,22 @@ def _midpoint_failure(m: int, failed: np.ndarray, inc: np.ndarray, dt: float, sw
     )
 
 
-def _midpoint_from(base: np.ndarray, k1: np.ndarray, dt: float, drv: SpectralDrift,
-                   tol: float, max_iter: int) -> np.ndarray:
+def _midpoint_from(base: np.ndarray, k1: np.ndarray, dt: float, drv: SpectralDrift) -> np.ndarray:
     """Solve w' = base + dt * b((base + w')/2) from the predictor base + dt * k1.
 
     `base` is padded and k1 = drv.padded_drift(base).  Member i stops once
-    its increment is at most tol * max(1, |base_i|), is written over its
-    row of `base` and leaves later sweeps, so its bytes do not depend on
-    the other members.  A contraction shrinks a member's increment from
-    sweep to sweep, so one that is not finite or exceeds the member's first
-    fails the step at once, before it can overflow.
+    its increment is at most _MIDPOINT_TOL * max(1, |base_i|), is written
+    over its row of `base` and leaves later sweeps, so its bytes do not
+    depend on the other members.  A contraction shrinks a member's
+    increment from sweep to sweep, so one that is not finite or exceeds
+    the member's first fails the step at once, before it can overflow.
     """
     members = base.reshape((-1,) + base.shape[-2:])  # a view of the contiguous padded state
-    tols = tol * np.maximum(1.0, np.sqrt(enstrophy(members)))
+    tols = _MIDPOINT_TOL * np.maximum(1.0, np.sqrt(enstrophy(members)))
     active = np.arange(len(members))
     state = (base + dt * k1).reshape(members.shape)
     first = None
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, _MIDPOINT_MAX_ITER + 1):
         # base + dt * b, as addition commutes; only one iterate and no copy
         # of base outlive the sweep
         prev = state
@@ -136,7 +133,7 @@ def _midpoint_from(base: np.ndarray, k1: np.ndarray, dt: float, drv: SpectralDri
             active, state, first, tols = active[~done], state[~done], first[~done], tols[~done]
             if not active.size:
                 return members.reshape(base.shape)
-    raise _midpoint_failure(len(members), active, inc[~done], dt, max_iter)
+    raise _midpoint_failure(len(members), active, inc[~done], dt, _MIDPOINT_MAX_ITER)
 
 
 def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
@@ -154,7 +151,7 @@ def _run_padded(coeffs: np.ndarray, params: FlowParams, drv: SpectralDrift,
         if observe is not None:
             observe(k, state, k1)
         state = (_rk4_from(state, k1, params.dt, drv) if params.integrator == "rk4" else
-                 _midpoint_from(state, k1, params.dt, drv, params.midpoint_tol, params.midpoint_max_iter))
+                 _midpoint_from(state, k1, params.dt, drv))
     if observe is not None:
         observe(n_steps, state, drv.padded_drift(state))
     return drv.unpad(state)
@@ -172,13 +169,12 @@ def _step_rk4(coeffs: np.ndarray, dt: float, drv: SpectralDrift) -> np.ndarray:
     return _step_batch(coeffs, FlowParams(drv.cutoff, dt, dt, "rk4"), drv)
 
 
-def _step_midpoint_fused(coeffs: np.ndarray, dt: float, drv: SpectralDrift,
-                         tol: float, max_iter: int) -> np.ndarray:
-    return _step_batch(coeffs, FlowParams(drv.cutoff, dt, dt, "implicit_midpoint", tol, max_iter), drv)
+def _step_midpoint_fused(coeffs: np.ndarray, dt: float, drv: SpectralDrift) -> np.ndarray:
+    return _step_batch(coeffs, FlowParams(drv.cutoff, dt, dt, "implicit_midpoint"), drv)
 
 
-def _step_midpoint(coeffs: np.ndarray, dt: float, drv: SpectralDrift, tol: float, max_iter: int) -> np.ndarray:
-    return _step_midpoint_fused(coeffs, dt, drv, tol, max_iter)
+def _step_midpoint(coeffs: np.ndarray, dt: float, drv: SpectralDrift) -> np.ndarray:
+    return _step_midpoint_fused(coeffs, dt, drv)
 
 
 def step(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDrift] = None) -> SpectralField:

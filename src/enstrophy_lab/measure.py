@@ -39,7 +39,6 @@ class MeasureSpec:
     """Projected white-noise measure at a cutoff; seed keys all streams."""
 
     cutoff: int
-    include_zero_mode: bool = True
     seed: int = 0
 
 
@@ -160,8 +159,7 @@ def sample_batch(spec: MeasureSpec, indices: Sequence[int]) -> np.ndarray:
         vals = (rows[:, 1 : 1 + h] + 1j * rows[:, 1 + h :]) / np.sqrt(2.0)
         block[:, flat] = vals
         block[:, mirror] = np.conj(vals)
-        if spec.include_zero_mode:
-            block[:, (d * d) // 2] = rows[:, 0]
+        block[:, (d * d) // 2] = rows[:, 0]
     return out.reshape(m, d, d)
 
 

@@ -195,9 +195,9 @@ class RankOneForm(QuadraticForm):
         return 0.5 * (np.outer(self._a, self._b) + np.outer(self._b, self._a))
 
 
-def rank_one_form(phi: SpectralField, cutoff: int, psi: Optional[SpectralField] = None) -> QuadraticForm:
-    """Kernel phi(x) psi(y), symmetrized: pairing equals <w,phi><w,psi>."""
-    return RankOneForm(phi, phi if psi is None else psi, cutoff)
+def rank_one_form(phi: SpectralField, cutoff: int) -> QuadraticForm:
+    """Kernel phi(x) phi(y): pairing equals <w,phi>^2."""
+    return RankOneForm(phi, phi, cutoff)
 
 
 class ExchangeForm(QuadraticForm):
@@ -364,21 +364,19 @@ def moment_bound(p: int) -> float:
 
 
 def moment_bound_test(kernel: QuadraticForm, p: int, spec: MeasureSpec, count: int,
-                      sup_norm: float = 1.0, pairings=_pairing_values) -> TestReport:
-    """p-th absolute moment of the pairing against the factorial-type bound."""
+                      pairings=_pairing_values) -> TestReport:
+    """p-th absolute moment of the pairing, for a kernel of sup norm 1, against the bound."""
     if not 2 <= p <= 6:
         raise ValueError("moment order restricted to 2..6 (noise grows too fast above)")
-    if sup_norm > 1.0 + 1e-12:
-        raise ValueError("kernel must be normalized to sup norm at most 1")
     if spec.cutoff != kernel.cutoff:
         raise ValueError("kernel and measure cutoffs differ")
     q = np.abs(pairings(spec, count, [kernel])[0]) ** p
     est, se = _mean_se(q)
-    bound = moment_bound(p) * sup_norm ** p
+    bound = moment_bound(p)
     passed = est + 3.0 * se <= bound
     return TestReport(
         name=f"moment_bound_p{p}",
-        params={"N": spec.cutoff, "M": count, "p": p, "sup_norm": sup_norm},
+        params={"N": spec.cutoff, "M": count, "p": p, "sup_norm": 1.0},
         seed=spec.seed,
         passed=passed,
         summary={"mc_moment": est, "std_error": se, "bound": bound,
@@ -388,32 +386,25 @@ def moment_bound_test(kernel: QuadraticForm, p: int, spec: MeasureSpec, count: i
     )
 
 
-def _series_terms(eps: float, p_max: int) -> np.ndarray:
-    p = np.arange(p_max + 1, dtype=float)
-    log_terms = np.where(
-        p == 0, 0.0, p * np.log(eps / 2.0) + gammaln(2 * p + 1) - 2 * gammaln(p + 1)
-    )
-    return log_terms
-
-
-def series_check(eps: float, p_max: int = 400) -> dict:
-    """Partial sums of sum_p (eps/2)^p (2p)!/(p! p!) and the tail term ratio.
+def series_check(eps: float) -> dict:
+    """Partial sums of sum_p (eps/2)^p (2p)!/(p! p!) up to p = 400 and the tail term ratio.
 
     The ratio tends to 2*eps, so the series converges below 1/2 and blows
     up above; evaluated in log space to dodge overflow.
     """
-    log_terms = _series_terms(eps, p_max)
+    p = np.arange(401, dtype=float)
+    log_terms = np.where(p == 0, 0.0, p * np.log(eps / 2.0) + gammaln(2 * p + 1) - 2 * gammaln(p + 1))
     ratio = float(np.exp(log_terms[-1] - log_terms[-2]))
     cap = 700.0
     terms = np.exp(np.minimum(log_terms, cap))
     partial = np.cumsum(terms)
     converged = bool(log_terms[-1] < np.log(1e-14) + np.log(max(partial[-1], 1.0))) and np.isfinite(partial[-1])
-    diverged = bool(log_terms[-1] > log_terms[p_max // 2] + 10.0)
+    diverged = bool(log_terms[-1] > log_terms[200] + 10.0)
     return {
         "eps": eps,
         "tail_ratio": ratio,
         "ratio_limit": 2.0 * eps,
-        "partial_sum_p200": float(partial[min(200, p_max)]),
+        "partial_sum_p200": float(partial[200]),
         "partial_sum_final": float(partial[-1]),
         "converged": converged,
         "diverged": diverged,

@@ -146,6 +146,46 @@ class TestConfigValidation:
         assert f"config error: {field}:" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["c.json"]
 
+    @pytest.mark.parametrize("flag,out", [
+        # an existing file, or a path under one: os.makedirs raised
+        # FileExistsError or NotADirectoryError, a traceback and exit 1
+        *[(flag, out) for out in ("taken", os.path.join("taken", "sub")) for flag in (False, True)],
+        # an empty --out-dir wrote into the config's out_dir
+        (True, ""),
+    ])
+    def test_uncreatable_out_dir_named(self, tmp_path, monkeypatch, capsys, flag, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("kept")
+        ran = []
+        monkeypatch.setitem(BATTERY_BUILDERS, "dirichlet_kernel", lambda p, seed: lambda: ran.append(1))
+        payload = {"seed": 1, "tests": [{"name": "dirichlet_kernel"}]}
+        if flag:
+            assert main(["run", write_cfg(tmp_path / "c.json", payload), "--out-dir", out]) == 2
+        else:
+            assert run(write_cfg(tmp_path / "c.json", dict(payload, out_dir=out))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {'--out-dir' if flag else 'out_dir'}: "), err
+        assert "Traceback" not in err and not ran
+        assert (tmp_path / "taken").read_text() == "kept"
+
+    @pytest.mark.parametrize("text,key", [
+        # the last value won silently: a second seed replaced the first
+        ('{"seed": 1, "seed": 2, "tests": []}', "seed"),
+        # and params {"G": 8, "G": 10} ran with G = 10
+        ('{"seed": 1, "tests": [{"name": "dirichlet_kernel", '
+         '"params": {"N_list": [1], "G": 8, "G": 10}}]}', "G"),
+    ], ids=["top_level", "params"])
+    def test_repeated_key_named(self, tmp_path, capsys, text, key):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert run(str(path), out_dir=str(out)) == 2
+        assert f"config error: {key}: repeated" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert info.value.field == key
+
     def test_load_config_reports_field(self, tmp_path):
         path = write_cfg(tmp_path / "c.json", {"seed": "x"})
         with pytest.raises(ConfigError) as info:
@@ -552,6 +592,15 @@ class TestBundledConfig:
         packaged = (res.files("enstrophy_lab") / "configs" / "quickcheck.cfg").read_bytes()
         with open(os.path.join(os.path.dirname(__file__), os.pardir, "quickcheck.cfg"), "rb") as fh:
             assert fh.read() == packaged
+
+    def test_readme_names_every_battery_and_test_field(self):
+        # the README's config paragraph lists what a config can name
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+            readme = fh.read()
+        batteries = re.search(r"Battery names:(.*?)\.\s+Test fields", readme, re.S).group(1)
+        fields = re.search(r"Test fields are addressed by name \((.*?)\)", readme, re.S).group(1)
+        assert sorted(re.findall(r"`(\w+)`", batteries)) == sorted(BATTERY_BUILDERS)
+        assert sorted(re.findall(r"`(\w+)`", fields)) == sorted(verify._NAMED_FIELDS)
 
 
 class TestMain:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from enstrophy_lab import flow
 from enstrophy_lab.dynamics import SpectralDrift, _drift_dealiased
 from enstrophy_lab.fields import SpectralField, sobolev_norm
 from enstrophy_lab.measure import MeasureSpec, sample_batch
@@ -46,12 +47,8 @@ class TestFlowParams:
         # an infinite dt took 0 steps; an infinite t_end raised OverflowError
         ("dt", float("inf")), ("dt", float("nan")),
         ("t_end", float("inf")), ("t_end", float("nan")),
-        # max_iter 0 built, and its first midpoint step raised UnboundLocalError
-        ("midpoint_max_iter", 0), ("midpoint_max_iter", -1),
-        ("midpoint_tol", 0.0), ("midpoint_tol", -1e-12),
-        ("midpoint_tol", float("inf")), ("midpoint_tol", float("nan")),
     ])
-    def test_rejects_non_finite_and_midpoint_settings(self, name, value):
+    def test_rejects_non_finite_times(self, name, value):
         kwargs = dict(cutoff=4, dt=1e-2, t_end=1e-2)
         kwargs[name] = value
         with pytest.raises(ValueError, match=name):
@@ -85,11 +82,12 @@ class TestStep:
         order = np.log2(one_step_drift(1e-2) / one_step_drift(5e-3))
         assert order >= 4.5
 
-    def test_midpoint_divergence_raises_with_diagnostics(self):
+    def test_midpoint_divergence_raises_with_diagnostics(self, monkeypatch):
         # a growing increment stops the iteration at once: fewer sweeps
         # than the budget and no overflow warning on the way
+        monkeypatch.setattr(flow, "_MIDPOINT_MAX_ITER", 10)
         w = white_field(4, np.random.default_rng(3))
-        p = FlowParams(cutoff=4, dt=5.0, t_end=5.0, midpoint_max_iter=10)
+        p = FlowParams(cutoff=4, dt=5.0, t_end=5.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepFailure, match="diverged") as info:
@@ -98,15 +96,16 @@ class TestStep:
         assert np.isfinite(info.value.residual) and info.value.residual > 0
         assert info.value.member_mask.tolist() == [True]
 
-    def test_midpoint_budget_exhausted(self):
+    def test_midpoint_budget_exhausted(self, monkeypatch):
         # a contracting iteration that runs out of sweeps reports them all
+        monkeypatch.setattr(flow, "_MIDPOINT_MAX_ITER", 2)
         w = white_field(4, np.random.default_rng(3))
-        p = FlowParams(cutoff=4, dt=1e-2, t_end=1e-2, midpoint_max_iter=2)
+        p = FlowParams(cutoff=4, dt=1e-2, t_end=1e-2)
         with pytest.raises(StepFailure, match="did not converge in 2 iterations") as info:
             step(w, p)
         assert info.value.iterations == 2
 
-    def test_midpoint_members_stop_and_fail_alone(self):
+    def test_midpoint_members_stop_and_fail_alone(self, monkeypatch):
         # a shear fixed point converges at the first sweep and leaves the
         # later ones; a failure names only the member that failed
         shear = SpectralField.from_modes(4, {(1, 0): 0.5}).coeffs
@@ -115,17 +114,18 @@ class TestStep:
         members = []
         padded_drift = drv.padded_drift
         drv.padded_drift = lambda s: members.append(s.shape[0]) or padded_drift(s)
-        out = _step_midpoint(np.stack([shear, w]), 1e-2, drv, 1e-12, 50)
+        out = _step_midpoint(np.stack([shear, w]), 1e-2, drv)
         assert members[:2] == [2, 2] and set(members[2:]) == {1}
         # the shear's bytes are its own step's; off a power-of-two grid its
         # drift is round-off rather than exact zeros: the paired transform
         # leaks about 1e-17 into modes (+-2, 0), so the step moves it by
         # less than dt times one ulp
-        assert np.array_equal(out[0], _step_midpoint(shear[None], 1e-2, SpectralDrift(4), 1e-12, 50)[0])
+        assert np.array_equal(out[0], _step_midpoint(shear[None], 1e-2, SpectralDrift(4))[0])
         assert np.abs(out[0] - shear).max() <= 1e-2 * np.finfo(float).eps
         for dt, max_iter, what in ((5.0, 10, "diverged"), (1e-2, 2, "did not converge")):
+            monkeypatch.setattr(flow, "_MIDPOINT_MAX_ITER", max_iter)
             with pytest.raises(StepFailure, match=what) as info:
-                _step_midpoint(np.stack([shear, w]), dt, drv, 1e-12, max_iter)
+                _step_midpoint(np.stack([shear, w]), dt, drv)
             assert info.value.member_mask.tolist() == [False, True]
 
 

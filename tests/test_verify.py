@@ -12,6 +12,7 @@ from enstrophy_lab.measure import MeasureSpec, sample_batch
 from enstrophy_lab import verify
 from enstrophy_lab.flow import coords_to_coeffs
 from enstrophy_lab.verify import (
+    RankOneForm,
     TestReport,
     _exchange_pairing,
     _pairing_values,
@@ -65,7 +66,7 @@ class TestReferenceKernels:
         phi = named_test_field("mix_low")
         psi = named_test_field("cos_2x1_plus_x2")
         for n in (2, 3):
-            k = rank_one_form(phi, n, psi)
+            k = RankOneForm(phi, psi, n)
             dense = DenseForm(n, k.matrix())
             # the trace is exactly <phi, psi>
             assert k.trace() == dual_pairing(project(phi, n), project(psi, n))
@@ -83,7 +84,7 @@ class TestReferenceKernels:
     @pytest.mark.parametrize("form", [
         quadratic_coefficients(named_test_field("cos_x1_plus_x2"), 2),
         exchange_kernel(2),
-        rank_one_form(named_test_field("mix_low"), 2, named_test_field("cos_2x1_plus_x2")),
+        RankOneForm(named_test_field("mix_low"), named_test_field("cos_2x1_plus_x2"), 2),
     ])
     def test_real_form_matrix_is_the_pairing_on_real_coordinates(self, form):
         # coordinates of unit variance: the zero mode, then sqrt(2) Re and sqrt(2) Im
@@ -226,7 +227,7 @@ class TestBlockedPairing:
     @pytest.mark.parametrize("make", [
         lambda n: quadratic_coefficients(TestBlockedPairing.PHI, n),
         exchange_kernel,
-        lambda n: rank_one_form(named_test_field("mix_low"), n, named_test_field("cos_2x1_plus_x2")),
+        lambda n: RankOneForm(named_test_field("mix_low"), named_test_field("cos_2x1_plus_x2"), n),
     ], ids=["drift", "exchange", "rank_one"])
     def test_bytes_equal_whole_batch_pairing(self, make):
         # 1100 samples: two full blocks and a partial one; cutoffs 2 and 3
