@@ -83,28 +83,46 @@ class TestSampler:
 
 
 # sha256 of sample_batch(...).tobytes() for GOLDEN_INDICES, keyed by
-# (seed, cutoff).  Recorded from the original per-sample sampler,
-# Generator(Philox(SeedSequence(entropy=seed, spawn_key=(index,))))
+# (seed, cutoff, with_zero_mode).  Recorded from the original per-sample
+# sampler, Generator(Philox(SeedSequence(entropy=seed, spawn_key=(index,))))
 # .standard_normal(1 + 2h) per index, so any change to a stream, to the
-# layout or to the block assembly shows here.
+# layout or to the block assembly shows here.  A False key hashes the
+# batch with its (0, 0) entry cleared: it pins the nonzero modes alone, so
+# a fault confined to the zero mode fails only the True digest.
 GOLDEN_INDICES = [7, 3, 0, 2**32 + 1] + list(range(100, 170))
 GOLDEN_DIGESTS = {
-    (0, 1): "07a435936b81d8f931898b8033df8c486dbf56567424656ff00d6848facce245",
-    (0, 4): "3d6ef408fcfea16d2d935890109e93d6e07175f84e05568c1d0aa55e11bfa45d",
-    (0, 16): "069bada84b7f58194b45e4ef980b543a432856c23cbc4b9c6249b105d42458e1",
-    (0, 32): "0442c4cdeac6a5a32e55757d3516cb1a12b9ffeb0563b27dd7d5687b415a89d2",
-    (123, 1): "ca9ceec831681459a9e0771611a5636f4f8ea69edea61be28a1b0c4219cdd923",
-    (123, 4): "26a2caed08d5ac3596cafa83c2f6b0076e5cdeade87875d40f49615817cc4d52",
-    (123, 16): "74ad885aab493bd886504603969fdf7016526b6fcfa14745af548382f84b5b62",
-    (123, 32): "57d1378eb609e0e272ed052d01f6bddf1253d2462da50bc6894c078916d9085a",
-    (20260801, 1): "ad2d695a60b49d0323c9849b5aafb1f751d262430863f1553460a67942f19c6a",
-    (20260801, 4): "cb0f198e237601377dd824373454f41fad45b4d935d2baff4dcac54e4c9eaefa",
-    (20260801, 16): "ab11a770d2b637f546a1ca72f4698236645c41e034e262efd9a40f07a4141faf",
-    (20260801, 32): "38efb641e87f95dcaa9e35419a86bf54d65d780da1d016a23c5f600fd750fab1",
-    (2**64 + 5, 1): "9c449b8db4a3c95e9acb3d06a8f3a16527afb48cbf7719523985d3453371b0c0",
-    (2**64 + 5, 4): "a7b325d596e42ae1cba97e7ba94afe978167800cff394e2fb7112fe4de27ed09",
-    (2**64 + 5, 16): "f1859fd567eade11a2783b3f1349a45a154d1b9e2c8fb5711038d3bdcf22ac44",
-    (2**64 + 5, 32): "f5ba2dac1a76eaf2052f547bc1c2354f21839d1f380ec44a0f0268b0747a97f5",
+    (0, 1, True): "07a435936b81d8f931898b8033df8c486dbf56567424656ff00d6848facce245",
+    (0, 1, False): "bd301c5cc4a867473200a0ba34b5783f6d7374acabb58610c30de43b960360c6",
+    (0, 4, True): "3d6ef408fcfea16d2d935890109e93d6e07175f84e05568c1d0aa55e11bfa45d",
+    (0, 4, False): "e97aa0b3365c71cb8ab1822494b3d55c1f1fc809501910f2ac1e0fdfe6548c53",
+    (0, 16, True): "069bada84b7f58194b45e4ef980b543a432856c23cbc4b9c6249b105d42458e1",
+    (0, 16, False): "711638bde77a9781526ae08a8e170dcdc768cd9a8ec07f71d7f1eeaf563d9caa",
+    (0, 32, True): "0442c4cdeac6a5a32e55757d3516cb1a12b9ffeb0563b27dd7d5687b415a89d2",
+    (0, 32, False): "60dd19db017deb5e9cd5347d0ab57a86e11f7cc01015d2ce59834389bd07899d",
+    (123, 1, True): "ca9ceec831681459a9e0771611a5636f4f8ea69edea61be28a1b0c4219cdd923",
+    (123, 1, False): "0116d3d89d255d8e1bfac7cdb5106eb8679df327370d2fd3c61b51ee62215957",
+    (123, 4, True): "26a2caed08d5ac3596cafa83c2f6b0076e5cdeade87875d40f49615817cc4d52",
+    (123, 4, False): "2259fabea415fadbf6191fcbecca0668bec804ef4b31a5e62e7e4e8f576498c1",
+    (123, 16, True): "74ad885aab493bd886504603969fdf7016526b6fcfa14745af548382f84b5b62",
+    (123, 16, False): "0c9e1cb09a25c092ccb60d6b248da9483cbab3416b700d2bd969f852d16eee33",
+    (123, 32, True): "57d1378eb609e0e272ed052d01f6bddf1253d2462da50bc6894c078916d9085a",
+    (123, 32, False): "65306e80688e93ffefbdf8d6067c209f837da5c305b7c19ec180bb858e1b49ea",
+    (20260801, 1, True): "ad2d695a60b49d0323c9849b5aafb1f751d262430863f1553460a67942f19c6a",
+    (20260801, 1, False): "fe2672c037c1db6bc50974856e5e29be9d19b8c9103fb346024854c7166cb952",
+    (20260801, 4, True): "cb0f198e237601377dd824373454f41fad45b4d935d2baff4dcac54e4c9eaefa",
+    (20260801, 4, False): "263b89233a68032abb8c2e00e58dc6f70df83513a37c4102286dbd1a8a4ca6b6",
+    (20260801, 16, True): "ab11a770d2b637f546a1ca72f4698236645c41e034e262efd9a40f07a4141faf",
+    (20260801, 16, False): "ae3db2c016eed5d9969bfd2f1af7d84f8c3bdafae9add0b43033fb3e07314c9e",
+    (20260801, 32, True): "38efb641e87f95dcaa9e35419a86bf54d65d780da1d016a23c5f600fd750fab1",
+    (20260801, 32, False): "475d9d6c965257d55851bf51a3aa8ca6420c0715c050a9abe0b339f9f1fb2e1f",
+    (2**64 + 5, 1, True): "9c449b8db4a3c95e9acb3d06a8f3a16527afb48cbf7719523985d3453371b0c0",
+    (2**64 + 5, 1, False): "4027a5088335a3c6ccd50485f04b2b2693cbc0d924ad745825e1bc049c8a9aa9",
+    (2**64 + 5, 4, True): "a7b325d596e42ae1cba97e7ba94afe978167800cff394e2fb7112fe4de27ed09",
+    (2**64 + 5, 4, False): "aca7faa2fd72afb0f8adb09697e33204a8d2bdcc1bd6f1e89bb2ea56d2d60b68",
+    (2**64 + 5, 16, True): "f1859fd567eade11a2783b3f1349a45a154d1b9e2c8fb5711038d3bdcf22ac44",
+    (2**64 + 5, 16, False): "3e0d79167cd178d23196182202f4c78cb0a3b6d6c17dfbfee7bbc954c8c4dabb",
+    (2**64 + 5, 32, True): "f5ba2dac1a76eaf2052f547bc1c2354f21839d1f380ec44a0f0268b0747a97f5",
+    (2**64 + 5, 32, False): "9b080e50d5fb681c27440a60e857c22db5eac96d6d1ce94320fc1594a14d491f",
 }
 
 
@@ -113,12 +131,15 @@ def _reference_key(seed: int, index: int) -> np.ndarray:
 
 
 class TestSamplerBytes:
-    @pytest.mark.parametrize("seed,cutoff", list(GOLDEN_DIGESTS))
-    def test_golden_bytes(self, seed, cutoff):
+    @pytest.mark.parametrize("seed,cutoff,with_zero_mode", list(GOLDEN_DIGESTS))
+    def test_golden_bytes(self, seed, cutoff, with_zero_mode):
         spec = MeasureSpec(cutoff=cutoff, seed=seed)
         batch = sample_batch(spec, GOLDEN_INDICES)
         assert batch.shape == (len(GOLDEN_INDICES), 2 * cutoff + 1, 2 * cutoff + 1)
-        assert hashlib.sha256(batch.tobytes()).hexdigest() == GOLDEN_DIGESTS[(seed, cutoff)]
+        if not with_zero_mode:
+            batch[:, cutoff, cutoff] = 0
+        digest = hashlib.sha256(batch.tobytes()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[(seed, cutoff, with_zero_mode)]
 
     @pytest.mark.parametrize("seed", [0, 123, 20260801, 2**64 + 5, 2**200 + 3])
     def test_keys_match_seed_sequence(self, seed):
