@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .flow import FlowParams
-from .measure import MeasureSpec, env_workers
+from .measure import MeasureSpec
 from .verify import (
     TestReport,
     cauchy_study,
@@ -50,7 +50,10 @@ class ConfigError(Exception):
 def _typed(val, typ, field: str, lo=None, hi=None):
     """`val` as `typ` (an int is a float; a bool is neither; a float is finite), within [lo, hi]."""
     if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ConfigError(field, "must be finite, got an integer beyond the float range") from None
     if isinstance(val, bool) or not isinstance(val, typ):
         raise ConfigError(field, f"expected {typ.__name__}, got {type(val).__name__}")
     if typ is float and not math.isfinite(val):
@@ -298,7 +301,7 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     try:
         cfg = json.loads(raw, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bytes that are not UTF-8, or an integer too long to parse
         raise ConfigError("config", f"invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
@@ -337,7 +340,6 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
         cfg = load_config(config_path)
         if seed_override is not None:
             _typed(seed_override, int, "--seed-override", lo=0)
-        env_workers()  # a bad thread cap is a config error before any battery runs
         seed = seed_override if seed_override is not None else cfg.get("seed", 0)
         tests = cfg.get("tests", [])
         jobs = [_prepare(i, entry, seed) for i, entry in enumerate(tests)]
@@ -346,9 +348,9 @@ def run(config_path: str, out_dir: str | None = None, seed_override: int | None 
         field, out = ("--out-dir", out_dir) if out_dir is not None else ("out_dir", cfg.get("out_dir", "reports"))
         try:
             os.makedirs(out, exist_ok=True)
-        except OSError as exc:  # an empty path, an existing file, or a path under one
-            raise ConfigError(field, f"{exc.strerror}: {out!r}") from None
-    except (ConfigError, ValueError) as exc:  # ValueError: ENSTROPHY_LAB_WORKERS
+        except (OSError, ValueError) as exc:  # an empty path, an existing file, a path under one, a NUL
+            raise ConfigError(field, f"{getattr(exc, 'strerror', None) or exc}: {out!r}") from None
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

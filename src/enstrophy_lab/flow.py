@@ -182,7 +182,7 @@ def step(field: SpectralField, params: FlowParams, drift_fn: Optional[SpectralDr
     if field.cutoff != params.cutoff:
         raise ValueError("field cutoff does not match flow parameters")
     drv = _resolve_drift(drift_fn, params.cutoff)
-    return SpectralField(params.cutoff, _step_batch(field.coeffs, params, drv))
+    return SpectralField(params.cutoff, _run_padded(field.coeffs, params, drv, 1))
 
 
 def enstrophy(coeffs: np.ndarray) -> np.ndarray:

@@ -258,24 +258,12 @@ class PushforwardError(Exception):
         self.failed_members = failed_members
 
 
-def env_workers() -> int | None:
-    """ENSTROPHY_LAB_WORKERS, the chunk pool's thread cap, as an integer >= 1; None when unset or empty."""
-    raw = os.environ.get("ENSTROPHY_LAB_WORKERS", "")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"ENSTROPHY_LAB_WORKERS must be an integer >= 1, got {raw!r}")
-    return value
-
-
 def _pool_threads() -> int:
-    """Threads that step member chunks: every CPU, capped by ENSTROPHY_LAB_WORKERS."""
-    cpus = os.cpu_count() or 1
-    return min(cpus, env_workers() or cpus)
+    """Threads that step member chunks: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _move(ensemble: Ensemble, params: FlowParams, drv: SpectralDrift,
@@ -286,17 +274,16 @@ def _move(ensemble: Ensemble, params: FlowParams, drv: SpectralDrift,
     chunk runs through `flow._run_padded`, observed by
     observer(sl, k, state, k1) with its member slice sl when one is given;
     chunks share no state but the drift, whose scratch is per thread, so
-    the observer may write only row sl of its results.  One thread or one
-    chunk runs on the calling thread.  A failed step stops its chunk only:
-    once every chunk has finished, one `PushforwardError` names the failed
-    members of all chunks, sorted, with the message of the lowest failing
-    chunk, whatever the thread count or the scheduling.
+    the observer may write only row sl of its results.  A failed step
+    stops its chunk only: once every chunk has finished, one
+    `PushforwardError` names the failed members of all chunks, sorted, with
+    the message of the lowest failing chunk, whatever the thread count or
+    the scheduling.
     """
     if params.cutoff != ensemble.spec.cutoff:
         raise ValueError("flow cutoff does not match ensemble cutoff")
     coeffs = np.array(ensemble.coeffs)
     m = coeffs.shape[0]
-    threads = _pool_threads()
     slices = [slice(start, min(start + _CHUNK_MEMBERS, m))
               for start in range(0, m, _CHUNK_MEMBERS)]
 
@@ -310,11 +297,8 @@ def _move(ensemble: Ensemble, params: FlowParams, drv: SpectralDrift,
             return exc.with_traceback(None)
         return None
 
-    if threads == 1 or len(slices) == 1:
-        failures = [run(sl) for sl in slices]
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            failures = list(pool.map(run, slices))
+    with ThreadPoolExecutor(_pool_threads()) as pool:
+        failures = list(pool.map(run, slices))
     failed = [(sl, exc) for sl, exc in zip(slices, failures) if exc is not None]
     if failed:
         ids = sorted(int(ensemble.stream_ids[sl][i]) for sl, exc in failed

@@ -1,8 +1,9 @@
 """Statistical verification batteries with reproducible reports.
 
-Each battery draws its own counter-based streams from a seed, computes
-Monte Carlo estimates with standard errors from the same run, compares
-them against exact spectral predictions, and returns a `TestReport`.
+Each battery reads counter-based streams keyed by a seed (`cli.run` gives
+the pairing batteries one shared pass per measure), computes Monte Carlo
+estimates with standard errors from the same run, compares them against
+exact spectral predictions, and returns a `TestReport`.
 Reports serialize deterministically: a report is a pure function of
 (name, parameters, seed) for a fixed binary, so re-runs are byte
 identical.  `cli.run` times each battery and sets the report's

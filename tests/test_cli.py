@@ -4,8 +4,6 @@ import hashlib
 import json
 import os
 import re
-import subprocess
-import sys
 import threading
 import time
 
@@ -14,7 +12,7 @@ import pytest
 import enstrophy_lab
 from enstrophy_lab import measure, verify
 from enstrophy_lab.cli import BATTERY_BUILDERS, ConfigError, load_config, main, run
-from enstrophy_lab.measure import MeasureSpec, _pool_threads, env_workers
+from enstrophy_lab.measure import MeasureSpec
 from enstrophy_lab.verify import TestReport
 
 
@@ -63,6 +61,24 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert run(str(tmp_path / "absent.json")) == 2
 
+    @pytest.mark.parametrize("raw", [
+        # bytes that are not UTF-8, and an integer beyond int's 4300-digit
+        # parse limit: both exited 2 without naming the config
+        b'{"seed": 1, "out_dir": "\x80"}',
+        b'{"seed": 1' + b"0" * 4301 + b"}",
+    ], ids=["not_utf8", "long_integer"])
+    def test_unreadable_config_named(self, tmp_path, capsys, raw):
+        path = tmp_path / "c.json"
+        path.write_bytes(raw)
+        out = tmp_path / "out"
+        assert run(str(path), out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: invalid JSON: "), err
+        assert not out.exists()
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert info.value.field == "config"
+
     def test_wrong_param_type(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", {
             "seed": 1,
@@ -110,6 +126,11 @@ class TestConfigValidation:
          "shift_amp"),
         ("exp_integrability", {"M": 200, "N_list": [2, 4], "eps_list": [0.1, float("inf")]},
          "eps_list[1]"),
+        # an integer beyond the float range: float() raised OverflowError,
+        # a traceback and exit 1
+        ("invariance", {"N": 2, "M": 50, "T": 10 ** 400, "dt": 0.01}, "T"),
+        ("exp_integrability", {"M": 200, "N_list": [2, 4], "eps_list": [10 ** 400, 0.1]},
+         "eps_list[0]"),
         # a zero horizon that invariance passed after zero steps, which
         # checks nothing
         ("invariance", {"N": 2, "M": 50, "T": 0}, "T"),
@@ -152,6 +173,8 @@ class TestConfigValidation:
         *[(flag, out) for out in ("taken", os.path.join("taken", "sub")) for flag in (False, True)],
         # an empty --out-dir wrote into the config's out_dir
         (True, ""),
+        # a NUL byte: os.makedirs raised ValueError, which named no field
+        *[(flag, "a\x00b") for flag in (False, True)],
     ])
     def test_uncreatable_out_dir_named(self, tmp_path, monkeypatch, capsys, flag, out):
         monkeypatch.chdir(tmp_path)
@@ -215,25 +238,6 @@ class TestConfigValidation:
         cfg = write_cfg(tmp_path / "c.json", QUICK)
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out"), "--seed-override", "-3"]) == 2
         assert "--seed-override" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
-    def test_bad_workers_variable_named(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", value)
-        cfg = write_cfg(tmp_path / "c.json", QUICK)
-        assert run(cfg, out_dir=str(tmp_path / "out")) == 2
-        assert "ENSTROPHY_LAB_WORKERS" in capsys.readouterr().err
-        with pytest.raises(ValueError, match="ENSTROPHY_LAB_WORKERS"):
-            _pool_threads()
-
-    def test_workers_variable_caps_chunk_pool(self, monkeypatch):
-        # the variable caps the threads that step ensemble chunks, at most every CPU
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "1")
-        assert env_workers() == 1 and _pool_threads() == 1
-        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "8")
-        assert env_workers() == 8 and _pool_threads() == 2
-        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "")
-        assert env_workers() is None and _pool_threads() == 2
 
     # the params around a named field paired at cutoff n; an N_list starts
     # at n
@@ -339,9 +343,9 @@ class TestRun:
         assert a["summary"]["mc_mean"] != b["summary"]["mc_mean"]
         assert b["seed"] == 99
 
-    def test_fft_threads_do_not_change_bytes(self, tmp_path):
+    def test_fft_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
         # both batteries move ensembles in chunks on a pool of
-        # ENSTROPHY_LAB_WORKERS threads; the thread count must not change any byte
+        # `_pool_threads()` threads; the thread count must not change any byte
         cfg = write_cfg(tmp_path / "c.json", {
             "seed": 11,
             "tests": [
@@ -351,44 +355,52 @@ class TestRun:
                                                  "integrator": "rk4"}},
             ],
         })
-        src = os.path.dirname(os.path.dirname(enstrophy_lab.__file__))
         codes, manifests = {}, {}
-        for workers in ("2", "1"):
-            env = dict(os.environ, ENSTROPHY_LAB_WORKERS=workers,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            out = tmp_path / f"w{workers}"
-            proc = subprocess.run([sys.executable, "-m", "enstrophy_lab.cli", "run", cfg,
-                                   "--out-dir", str(out)],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode in (0, 1), proc.stderr
-            codes[workers] = proc.returncode
-            manifests[workers] = (out / "manifest.json").read_bytes()
-        assert codes["2"] == codes["1"]
-        assert manifests["2"] == manifests["1"]
-        assert len(json.loads(manifests["1"])["files"]) == 5  # two reports, two tables, summary
+        for threads in (2, 1):
+            monkeypatch.setattr(measure, "_pool_threads", lambda: threads)
+            out = tmp_path / f"t{threads}"
+            codes[threads] = run(cfg, out_dir=str(out))
+            assert codes[threads] in (0, 1)
+            manifests[threads] = (out / "manifest.json").read_bytes()
+        assert codes[2] == codes[1]
+        assert manifests[2] == manifests[1]
+        assert len(json.loads(manifests[1])["files"]) == 5  # two reports, two tables, summary
+
+    def test_workers_variable_has_no_effect(self, tmp_path, monkeypatch):
+        # the pool follows the CPU affinity mask alone; a variable that once
+        # capped it, set to a value it rejected, changes nothing
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 5, "tests": [
+            {"name": "transport", "params": {"N": 2, "M": 300, "T": 0.02, "dt": 0.01}}]})
+        manifests = []
+        for value in (None, "abc"):
+            if value is not None:
+                monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", value)
+            out = tmp_path / f"v{value}"
+            assert run(cfg, out_dir=str(out)) in (0, 1)
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
 
     def test_thread_count_keeps_failure_report_bytes(self, tmp_path, monkeypatch):
         # the midpoint step fails at N=16 for some members of both 8-member
         # chunks; the report names them, and its bytes must not follow the
         # thread count
         monkeypatch.setattr(measure, "_CHUNK_MEMBERS", 8)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = write_cfg(tmp_path / "c.json", {"seed": 1, "tests": [
             {"name": "invariance", "params": {"N": 16, "M": 16, "T": 0.01, "dt": 0.01}}]})
         manifests = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", workers)
-            out = tmp_path / f"w{workers}"
+        for threads in (1, 2):
+            monkeypatch.setattr(measure, "_pool_threads", lambda: threads)
+            out = tmp_path / f"t{threads}"
             assert run(cfg, out_dir=str(out)) == 1
             notes = json.loads((out / "invariance.json").read_text())["notes"]
             assert "PushforwardError" in notes[0], notes
-            manifests[workers] = (out / "manifest.json").read_bytes()
-        assert manifests["1"] == manifests["2"]
+            manifests[threads] = (out / "manifest.json").read_bytes()
+        assert manifests[1] == manifests[2]
 
     def test_batteries_run_in_config_order_on_calling_thread(self, tmp_path, monkeypatch):
-        # ENSTROPHY_LAB_WORKERS caps the threads that step ensemble chunks
-        # inside a battery; the batteries themselves run in turn on this thread
-        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "2")
+        # two threads step ensemble chunks inside a battery; the batteries
+        # themselves run in turn on this thread
+        monkeypatch.setattr(measure, "_pool_threads", lambda: 2)
         calls = []
 
         def recording(name):

@@ -287,7 +287,6 @@ class TestEnsembleTransport:
         # every chunk finishes, the ids come sorted and the message is the
         # lowest failing chunk's, with one thread or two
         monkeypatch.setattr(measure, "_CHUNK_MEMBERS", 4)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         e = init_ensemble(SPEC, UniformDensity(), 8)
         scale = np.array([0.01, 10, 10, 0.01, 0.01, 0.01, 20, 0.01])[:, None, None]
         wild = Ensemble(spec=SPEC, coeffs=scale * e.coeffs, weights=e.weights,
@@ -297,27 +296,38 @@ class TestEnsembleTransport:
         with pytest.raises(StepFailure) as low:  # the lowest chunk alone
             _run_padded(wild.coeffs[:4], p, SpectralDrift(4), p.n_steps)
         reports = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", workers)
+        for threads in (1, 2):
+            monkeypatch.setattr(measure, "_pool_threads", lambda: threads)
             with pytest.raises(PushforwardError) as info:
                 pushforward(wild, p)
-            reports[workers] = (str(info.value), info.value.failed_members)
-        assert reports["1"] == reports["2"]
-        assert reports["1"][1] == [1, 5, 6]
-        assert reports["1"][0] == f"{low.value} (members [1, 5, 6])"
+            reports[threads] = (str(info.value), info.value.failed_members)
+        assert reports[1] == reports[2]
+        assert reports[1][1] == [1, 5, 6]
+        assert reports[1][0] == f"{low.value} (members [1, 5, 6])"
         # a failed chunk's frames, and with them its arrays, are not kept
         assert info.value.__cause__.__traceback__ is None
 
 
 class TestChunkPool:
+    def test_pool_follows_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert measure._pool_threads() == 3
+
+    def test_pool_without_affinity_call_takes_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert measure._pool_threads() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+        assert measure._pool_threads() == 1
+
     @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
     @pytest.mark.parametrize("count,chunk", [(1, 128), (3, 2), (16, 8), (300, 128)])
     def test_threads_keep_bytes(self, count, chunk, integrator, monkeypatch):
-        # one thread against two: M=1 runs inline, M=3 in 2 + 1 members,
+        # one thread against two: M=1 in one chunk, M=3 in 2 + 1 members,
         # M=16 in 8 + 8, M=300 in 128 + 128 + 44; the weak-form observer of
         # each chunk writes only its own rows
         monkeypatch.setattr(measure, "_CHUNK_MEMBERS", chunk)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         e = init_ensemble(SPEC, GaussianTilt(PHI), count)
         p = FlowParams(cutoff=4, dt=1e-2, t_end=2e-2, integrator=integrator)
         drv = SpectralDrift(4)
@@ -325,15 +335,17 @@ class TestChunkPool:
         padded_drift = drv.padded_drift
         drv.padded_drift = lambda s: callers.append(threading.get_ident()) or padded_drift(s)
         runs = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", workers)
-            callers.clear()
-            runs[workers] = (pushforward(e, p, drift_fn=drv),
-                             weak_form_residual(e, _cylinder(2e-2), p, drift_fn=drv))
-            inline = workers == "1" or count == 1
-            assert (threading.get_ident() in callers) == inline
-            assert len(set(callers)) == 1 or not inline
-        (out1, res1), (out2, res2) = runs["1"], runs["2"]
+        for threads in (1, 2):
+            monkeypatch.setattr(measure, "_pool_threads", lambda: threads)
+            runs[threads] = []
+            for move in (lambda: pushforward(e, p, drift_fn=drv),
+                         lambda: weak_form_residual(e, _cylinder(2e-2), p, drift_fn=drv)):
+                callers.clear()
+                runs[threads].append(move())
+                # every chunk runs on the pool, none on the calling thread
+                assert callers and threading.get_ident() not in callers
+                assert len(set(callers)) <= threads
+        (out1, res1), (out2, res2) = runs[1], runs[2]
         assert np.array_equal(out1.coeffs, out2.coeffs)
         assert res1.residual == res2.residual and res1.std_error == res2.std_error
         assert np.array_equal(res1.moved.coeffs, res2.moved.coeffs)
@@ -344,12 +356,11 @@ class TestChunkPool:
         # lost write to the shared state or the weak-form totals, or a
         # scratch pair shared across threads, would move bytes
         monkeypatch.setattr(measure, "_CHUNK_MEMBERS", 4)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         e = init_ensemble(SPEC, GaussianTilt(PHI), 64)
         p = FlowParams(cutoff=4, dt=1e-2, t_end=3e-2, integrator="implicit_midpoint")
-        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "1")
+        monkeypatch.setattr(measure, "_pool_threads", lambda: 1)
         serial = weak_form_residual(e, _cylinder(3e-2), p)
-        monkeypatch.setenv("ENSTROPHY_LAB_WORKERS", "8")
+        monkeypatch.setattr(measure, "_pool_threads", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
