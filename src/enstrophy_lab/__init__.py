@@ -6,7 +6,7 @@ density transport), `verify` (statistical batteries), `cli` (experiment
 driver).
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .fields import (
     GridField,

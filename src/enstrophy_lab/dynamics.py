@@ -36,7 +36,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.fft
-import scipy.signal
 
 from .fields import (
     EXACT_TOL,
@@ -50,6 +49,7 @@ from .fields import (
     extract_layout,
     gradient_at,
     mode_grids,
+    mode_range,
     project,
     project_coeffs,
     real_part,
@@ -146,14 +146,22 @@ def _drift_dealiased(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 def _drift_direct(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
-    """Exact lattice convolution for a single coefficient table (the oracle)."""
+    """Exact lattice convolution for a single coefficient table (the oracle).
+
+    Each retained mode m of the velocity adds its product with the gradient
+    table, shifted by m, to the (4N+1)^2 table of all modes; the cutoff
+    lattice is then cut out of it.
+    """
     n1, n2 = mode_grids(cutoff)
     inv = _inverse_norm_sq(cutoff)
     a1 = (n2 * inv) * coeffs
     a2 = (-n1 * inv) * coeffs
     b1 = n1 * coeffs
     b2 = n2 * coeffs
-    full = scipy.signal.convolve2d(a1, b1) + scipy.signal.convolve2d(a2, b2)
+    d = 2 * cutoff + 1
+    full = np.zeros((2 * d - 1, 2 * d - 1), dtype=complex)
+    for i, j in np.ndindex(d, d):
+        full[i : i + d, j : j + d] += a1[i, j] * b1 + a2[i, j] * b2
     return -full[cutoff : 3 * cutoff + 1, cutoff : 3 * cutoff + 1]
 
 
@@ -378,18 +386,32 @@ class KernelEval:
     def __post_init__(self):
         object.__setattr__(self, "_k", _drift_multipliers(self.k_max)[:2])
 
+    def _multipliers(self, k_cut: int) -> tuple:
+        """The Biot-Savart multipliers of the modes 0 < |n|_inf <= k_cut."""
+        if k_cut >= self.k_max:
+            return self._k
+        n1, n2 = mode_grids(self.k_max)
+        mask = np.maximum(np.abs(n1), np.abs(n2)) <= k_cut
+        return tuple(k * mask for k in self._k)
+
     def _kernel_sum(self, z: np.ndarray, k_cut: int) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         e1, e2 = _mode_exponentials(z, self.k_max)
-        if k_cut >= self.k_max:
-            c1, c2 = self._k
-        else:
-            n1, n2 = mode_grids(self.k_max)
-            mask = np.maximum(np.abs(n1), np.abs(n2)) <= k_cut
-            c1, c2 = (k * mask for k in self._k)
-        k1 = _nonuniform_sum(c1, e1, e2).real
-        k2 = _nonuniform_sum(c2, e1, e2).real
+        k1, k2 = (_nonuniform_sum(c, e1, e2).real for c in self._multipliers(k_cut))
         return np.stack([k1, k2], axis=-1).reshape(z.shape)
+
+    def grid_sum(self, a: np.ndarray, b: np.ndarray, k_cut: int) -> np.ndarray:
+        """Truncated kernel series at the displacements (a_i, b_j), shape (len(a), len(b), 2).
+
+        On a tensor grid the double mode sum is E_a C E_b^T, taken as two
+        plain einsum contractions.  Without `optimize` they never call BLAS,
+        so they sum in one fixed order whatever the BLAS thread count.
+        """
+        n = mode_range(self.k_max)
+        ea = np.exp(_TWO_PI_I * np.outer(a, n))
+        eb = np.exp(_TWO_PI_I * np.outer(b, n))
+        return np.stack([np.einsum("ib,jb->ij", np.einsum("ia,ab->ib", ea, c), eb).real
+                         for c in self._multipliers(k_cut)], axis=-1)
 
     def kernel_at(self, z: np.ndarray) -> np.ndarray:
         """Truncated Fourier sum of the convolution kernel at displacements z."""
@@ -483,8 +505,9 @@ def _separable_axis_values(field: SpectralField, nodes: np.ndarray) -> Optional[
 def symmetry_integral(w_field: SpectralField, s_matrix: np.ndarray, size: int) -> float:
     """Midpoint quadrature of integral of W(x) <S x/|x|, perp(x)/|x|> dx.
 
-    The grid is the offset lattice -1/2 + (a+1/2)/G on [-1/2, 1/2)^2, which
-    is closed under reflections and coordinate swap and excludes the origin.
+    The grid is the offset lattice (2a + 1 - G)/(2G) on [-1/2, 1/2)^2, which
+    is closed under reflections and coordinate swap, bit for bit at every
+    even G, and excludes the origin.
     Summands are folded over those symmetries first, so for even
     swap-symmetric W the cancellation is exact and only rounding remains.
     """
@@ -493,7 +516,7 @@ def symmetry_integral(w_field: SpectralField, s_matrix: np.ndarray, size: int) -
     s_matrix = np.asarray(s_matrix, dtype=float)
     if s_matrix.shape != (2, 2) or s_matrix[0, 1] != s_matrix[1, 0]:
         raise ValueError("S must be a symmetric 2x2 matrix")
-    nodes = -0.5 + (np.arange(size) + 0.5) / size
+    nodes = (2 * np.arange(size) + 1 - size) / (2 * size)
     x1, x2 = np.meshgrid(nodes, nodes, indexing="ij")
     sep = _separable_axis_values(w_field, nodes)
     if sep is not None:
@@ -537,8 +560,10 @@ def trace_integral(ke: KernelEval, cutoff: int, size: int,
     at every cutoff (the spectral trace of the drift form is identically
     zero), so the returned number measures quadrature plus truncation
     error; the error field reports an independent re-evaluation difference
-    plus a roundoff allowance.  The kernel sums do not depend on the cutoff;
-    one `tables` dict passed for every cutoff computes them once.
+    plus a roundoff allowance.  The kernel sums are taken on the tensor grid
+    of displacements by `KernelEval.grid_sum`, in one fixed order, and do
+    not depend on the cutoff; one `tables` dict passed for every cutoff
+    computes them once.
     """
     if size < 4 * cutoff + 4:
         raise ValueError("quadrature size must be at least 4N+4")
@@ -548,13 +573,10 @@ def trace_integral(ke: KernelEval, cutoff: int, size: int,
         xs = (np.arange(sz) + 0.25) / sz
         ys = (np.arange(sz) + 0.75) / sz
         diff = (np.arange(-(sz - 1), sz) - 0.5) / sz
-        z1, z2 = np.meshgrid(diff, diff, indexing="ij")
-        zpts = np.stack([z1, z2], axis=-1)
         if (sz, k_cut) not in tables:
-            tables[sz, k_cut] = ke._kernel_sum(zpts, k_cut)
-        kv = tables[sz, k_cut]
+            tables[sz, k_cut] = ke.grid_sum(diff, diff, k_cut)
         theta = dirichlet_values(cutoff, diff)
-        wk = theta[:, None, None] * theta[None, :, None] * kv.reshape(2 * sz - 1, 2 * sz - 1, 2)
+        wk = theta[:, None, None] * theta[None, :, None] * tables[sz, k_cut]
         x1g, x2g = np.meshgrid(xs, xs, indexing="ij")
         gx = gradient_at(ke.phi, np.stack([x1g, x2g], axis=-1))
         y1g, y2g = np.meshgrid(ys, ys, indexing="ij")

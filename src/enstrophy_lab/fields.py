@@ -271,7 +271,8 @@ def from_grid(grid: GridField, cutoff: int) -> SpectralField:
 
 
 def _nonuniform_sum(coeffs: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    # (e1 @ C) rows dotted with e2 rows: BLAS-backed form of the double mode sum
+    # (e1 @ C) rows dotted with e2 rows; the product is a BLAS call, whose
+    # summation order may follow the BLAS thread count
     return np.sum((e1 @ coeffs) * e2, axis=1)
 
 

@@ -250,7 +250,8 @@ def measured_sup_symmetrized(ke: KernelEval, base_grid: int = 12, diff_grid: int
     """Observed sup of |H(x, y)| over an off-diagonal sample of point pairs.
 
     Kernel values depend on the displacement only, so they are evaluated
-    once per displacement and recombined with the gradients.
+    once per displacement, on its tensor grid in one fixed order, and
+    recombined with the gradients.
     """
     xs = (np.arange(base_grid) + 0.5) / base_grid
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")
@@ -258,7 +259,7 @@ def measured_sup_symmetrized(ke: KernelEval, base_grid: int = 12, diff_grid: int
     zs = (np.arange(diff_grid) + 0.25) / diff_grid
     z1, z2 = np.meshgrid(zs, zs, indexing="ij")
     z = np.stack([z1, z2], axis=-1).reshape(-1, 2)
-    kv = ke.kernel_at(z)
+    kv = ke.grid_sum(zs, zs, ke.k_max).reshape(-1, 2)
     gx = gradient_at(ke.phi, x)
     gy = gradient_at(ke.phi, x[:, None, :] - z[None, :, :])
     vals = 0.5 * np.sum((gx[:, None, :] - gy) * kv[None, :, :], axis=-1)
@@ -622,7 +623,7 @@ def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int 
     if size < 4 * max(n_list) + 4:
         raise ValueError("quadrature size must be at least 4*max(N)+4")
     ke = KernelEval(phi, k_max=k_max)
-    nodes = -0.5 + (np.arange(size) + 0.5) / size
+    nodes = (2 * np.arange(size) + 1 - size) / (2 * size)  # antisymmetric bit for bit
     s_basis = [np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
     rows = []
     passed = True

@@ -8,11 +8,14 @@ own run at fixed seeds; exact identities use the 1e-12/1e-13 rungs.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import enstrophy_lab
 from enstrophy_lab.cli import run as cli_run
 from enstrophy_lab.dynamics import (
     biot_savart,
@@ -36,6 +39,7 @@ from enstrophy_lab.verify import (
     wick_mean_test,
     wick_variance_test,
 )
+from test_verify import TestDriftExpIntegrability as DriftExpPins
 
 SEED = 20260801
 
@@ -259,12 +263,17 @@ def test_criterion_10_dirichlet_kernel_lemma():
 # With 0.5.0 the drift runs on grids of size next_fast_len(3N+1), which
 # moved the last digits of the invariance, invariance_negative and
 # transport reports (json and csv); the cauchy reports, whose three
-# cross-check drifts also use the grid, kept their bytes.
+# cross-check drifts also use the grid, kept their bytes.  With 0.6.0 the
+# kernel series of `trace_integral` is summed on its tensor grid by two
+# einsum contractions in one fixed order, not by a BLAS product whose order
+# followed the BLAS thread count; that moved the last digits of the
+# dirichlet_kernel trace values and error bars (json and csv), which now
+# read the same at every thread count.
 QUICKCHECK_DIGESTS = {
     "cauchy.csv": "636cf20e9b9e4048a63adf20d645bfa2582c5958fa301cb6188a7bed24f8066b",
     "cauchy.json": "08510d3aa571d5bd6db28e4bc10e3b42cd3c7280c75efcbe079688045d472a05",
-    "dirichlet_kernel.csv": "83842282c6d3b3227d53c799588377131fdf0ddccf6241225b573d449df4d761",
-    "dirichlet_kernel.json": "9bc23626202a33147e9ed51b5dbc3bc4822101dbd3ac277b1b2fb30f1537cc03",
+    "dirichlet_kernel.csv": "e639b3bc3af3288098e21b4d2610b9c1bccbdf8d98430c8168d9e8920a237817",
+    "dirichlet_kernel.json": "929a303e801ccce997633c4dd47f36a27c3de7f8b1127dc8a741724376eca208",
     "exp_integrability_exchange.csv": "1e552bc6a3dcf91e826cb6602a7625b90b478364a55b89a7b10a93f15bff28de",
     "exp_integrability_exchange.json": "7191494fd23cdc38620b5752519335d98cb07e9968f11154dddeb06bc9e95b0a",
     "invariance.csv": "ae383a9a2e904ff1c98568f26a8a144dadff418dc574dbb03e5c4ee23869517e",
@@ -305,3 +314,37 @@ def test_criterion_11_reproducibility(tmp_path):
                          f"{len(os.listdir(out1))} artifacts, reports match the pinned "
                          f"digests, all batteries passing")
     assert ok
+
+
+# Runs the bundled quickcheck and the pinned drift exp_integrability report,
+# then writes their digests as JSON to the path given as argv[1].
+_PINNED_REPORTS = """
+import hashlib, importlib.resources as res, json, pathlib, sys
+from enstrophy_lab.cli import run
+from test_verify import TestDriftExpIntegrability
+
+out = pathlib.Path(sys.argv[1]).parent / "quickcheck"
+with res.as_file(res.files("enstrophy_lab") / "configs" / "quickcheck.cfg") as cfg:
+    code = run(str(cfg), out_dir=str(out))
+rep = TestDriftExpIntegrability.report()
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code,
+               "quickcheck": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                              for p in out.iterdir() if p.name != "manifest.json"},
+               "drift_report": hashlib.sha256(rep.to_json().encode()).hexdigest(),
+               "critical_eps_exact": rep.summary["critical_eps_exact"]}, fh)
+"""
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    # one BLAS thread in a fresh process: no report byte may follow the count
+    paths = [os.path.dirname(os.path.dirname(enstrophy_lab.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
+    result = tmp_path / "digests.json"
+    subprocess.run([sys.executable, "-c", _PINNED_REPORTS, str(result)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    got = json.loads(result.read_text())
+    assert got["code"] == 0
+    assert got["quickcheck"] == QUICKCHECK_DIGESTS
+    assert got["drift_report"] == DriftExpPins.DIGEST
+    assert got["critical_eps_exact"] == DriftExpPins.CRITICAL

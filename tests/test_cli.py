@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -616,6 +618,12 @@ class TestBundledConfig:
 
 
 class TestMain:
+    def test_import_leaves_out_scipy_signal(self):
+        # a fresh process: the drift oracle is a numpy convolution
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(enstrophy_lab.__file__)))
+        code = "import sys, enstrophy_lab.cli; sys.exit('scipy.signal' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_cli_entry_run(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", {"seed": 1, "tests": []})
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0

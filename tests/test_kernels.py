@@ -34,6 +34,16 @@ class TestKernelEval:
         z = z[np.linalg.norm(z, axis=1) > 0.05]
         assert np.abs(ke.kernel_at(z) + ke.kernel_at(-z)).max() <= 1e-12
 
+    @pytest.mark.parametrize("half", [False, True], ids=["k_max", "k_max_half"])
+    def test_grid_sum_matches_row_route(self, ke, half):
+        k_cut = ke.k_max // 2 if half else ke.k_max
+        a = (np.arange(-15, 16) - 0.5) / 16
+        b = (np.arange(9) + 0.25) / 9
+        rows = ke._kernel_sum(np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1), k_cut)
+        grid = ke.grid_sum(a, b, k_cut)
+        assert grid.shape == (len(a), len(b), 2)
+        assert np.abs(grid - rows).max() <= 1e-13 * np.abs(rows).max()
+
     def test_pair_symmetric(self, ke):
         x = np.array([0.31, 0.17])
         y = np.array([0.62, 0.88])

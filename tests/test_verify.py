@@ -17,6 +17,7 @@ from enstrophy_lab.verify import (
     _exchange_pairing,
     _pairing_values,
     cauchy_study,
+    dirichlet_kernel_study,
     exchange_kernel,
     measured_sup_symmetrized,
     moment_bound,
@@ -107,6 +108,17 @@ class TestReferenceKernels:
         sup_coarse = measured_sup_symmetrized(ke, base_grid=8, diff_grid=16)
         sup_fine = measured_sup_symmetrized(ke, base_grid=12, diff_grid=32)
         assert 0.5 <= sup_fine / sup_coarse <= 2.0
+
+    def test_measured_sup_matches_row_route(self, monkeypatch):
+        # the tensor-grid sum against the row route over every grid point
+        ke = KernelEval(named_test_field("cos_x1_plus_x2"), k_max=64)
+        grid = measured_sup_symmetrized(ke)
+
+        def rows(self, a, b, k_cut):
+            return self._kernel_sum(np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1), k_cut)
+
+        monkeypatch.setattr(KernelEval, "grid_sum", rows)
+        assert abs(grid - measured_sup_symmetrized(ke)) <= 1e-14 * grid
 
 
 class TestSeriesCheck:
@@ -200,15 +212,21 @@ class TestDriftExpIntegrability:
     """The drift kernel route: measured sup, dense table and critical exponent."""
 
     PHI = named_test_field("cos_x1_plus_x2")
-    # sha256 of the report's JSON, recorded before the dense drift table was
-    # built from the support terms
-    DIGEST = "c67a941d77ccbed19892116986255135512f557420bd168b9d0e16edc3000b89"
+    # sha256 of the report's JSON and its exact critical exponent, recorded
+    # with 0.6.0, whose measured kernel sup is summed in one fixed order
+    # (3.251007377882165 at every BLAS thread count)
+    DIGEST = "47ccc26e62854de0f4914e8752bc9808c600aae6b33afb5a97ccd8922c6a48d6"
+    CRITICAL = 8.127518444705414
+
+    @classmethod
+    def report(cls):
+        return exp_integrability_test(cls.PHI, [0.1, 0.4], MeasureSpec(cutoff=4, seed=3), 300,
+                                      [2, 4], kernel_kind="drift")
 
     def test_report_bytes(self):
-        rep = exp_integrability_test(self.PHI, [0.1, 0.4], MeasureSpec(cutoff=4, seed=3), 300,
-                                     [2, 4], kernel_kind="drift")
+        rep = self.report()
         assert hashlib.sha256(rep.to_json().encode()).hexdigest() == self.DIGEST
-        assert rep.summary["critical_eps_exact"] == 8.127518444705407
+        assert rep.summary["critical_eps_exact"] == self.CRITICAL
 
     def test_zero_form_has_infinite_critical_exponent(self):
         # at N=1 the drift form of cos(x1 + x2) vanishes: the exponent used
@@ -218,6 +236,16 @@ class TestDriftExpIntegrability:
                                      [1], kernel_kind="drift")
         assert rep.summary["critical_eps_exact"] == np.inf
         assert json.loads(rep.to_json())["summary"]["critical_eps_exact"] is None
+        assert rep.passed
+
+
+class TestDirichletKernelStudy:
+    # even sizes that are not powers of two, among them the default G = 68
+    # for N = 16: there -1/2 + (a + 1/2)/G is not exactly antisymmetric
+    @pytest.mark.parametrize("n_list,size", [([8], 36), ([2, 4, 8], 40), ([8, 16], 68)])
+    def test_nodes_antisymmetric_at_any_even_size(self, n_list, size):
+        rep = dirichlet_kernel_study(named_test_field("cos_x1_plus_x2"), n_list, size)
+        assert [row["reflect_dev"] for row in rep.table] == [0.0] * len(n_list)
         assert rep.passed
 
 
