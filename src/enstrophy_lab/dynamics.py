@@ -502,12 +502,17 @@ def _separable_axis_values(field: SpectralField, nodes: np.ndarray) -> Optional[
     return a, b
 
 
+def offset_nodes(size: int) -> np.ndarray:
+    """Midpoints (2a + 1 - G)/(2G) of [-1/2, 1/2), G = size; antisymmetric bit for bit."""
+    return (2 * np.arange(size) + 1 - size) / (2 * size)
+
+
 def symmetry_integral(w_field: SpectralField, s_matrix: np.ndarray, size: int) -> float:
     """Midpoint quadrature of integral of W(x) <S x/|x|, perp(x)/|x|> dx.
 
-    The grid is the offset lattice (2a + 1 - G)/(2G) on [-1/2, 1/2)^2, which
-    is closed under reflections and coordinate swap, bit for bit at every
-    even G, and excludes the origin.
+    The grid is `offset_nodes(size)` squared, which is closed under
+    reflections and coordinate swap, bit for bit at every even G, and
+    excludes the origin.
     Summands are folded over those symmetries first, so for even
     swap-symmetric W the cancellation is exact and only rounding remains.
     """
@@ -516,7 +521,7 @@ def symmetry_integral(w_field: SpectralField, s_matrix: np.ndarray, size: int) -
     s_matrix = np.asarray(s_matrix, dtype=float)
     if s_matrix.shape != (2, 2) or s_matrix[0, 1] != s_matrix[1, 0]:
         raise ValueError("S must be a symmetric 2x2 matrix")
-    nodes = (2 * np.arange(size) + 1 - size) / (2 * size)
+    nodes = offset_nodes(size)
     x1, x2 = np.meshgrid(nodes, nodes, indexing="ij")
     sep = _separable_axis_values(w_field, nodes)
     if sep is not None:

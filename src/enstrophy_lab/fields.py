@@ -44,8 +44,8 @@ def mode_grids(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 def half_lattice_mask(cutoff: int) -> np.ndarray:
     """Canonical half lattice: n1 > 0, or n1 == 0 and n2 > 0.
 
-    Together with the real zero mode it parametrizes every real field,
-    hence it is the writer/sampler side of the reality constraint.
+    Together with the real zero mode it parametrizes every real field;
+    `flow.real_coordinate_layout` orders it into the real coordinates.
     """
     n1, n2 = mode_grids(cutoff)
     return (n1 > 0) | ((n1 == 0) & (n2 > 0))

@@ -18,6 +18,7 @@ interact, not even in the midpoint iteration, which stops member by member.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
@@ -243,40 +244,43 @@ def evolve(field: SpectralField, params: FlowParams, drift_fn: Optional[Spectral
                       diag_energy=ener, diag_ortho=orth)
 
 
-def real_coordinate_layout(cutoff: int):
-    """Index maps between coefficient tables and real coordinates.
-
-    Coordinates are [w(0)] + [Re w(n), Im w(n)] over the canonical half
-    lattice in lexicographic order; dimension (2N+1)^2.
-    """
-    d = 2 * cutoff + 1
-    half = half_lattice_mask(cutoff)
-    hi, hj = np.nonzero(half)
-    return d, hi, hj
+@functools.lru_cache(maxsize=None)
+def real_coordinate_layout(cutoff: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Table side d = 2N+1 and the read-only indices (hi, hj) of the
+    canonical half lattice in lexicographic order; their mirrors -n sit at
+    (d-1-hi, d-1-hj)."""
+    hi, hj = np.nonzero(half_lattice_mask(cutoff))
+    hi.setflags(write=False)
+    hj.setflags(write=False)
+    return 2 * cutoff + 1, hi, hj
 
 
 def coords_to_coeffs(coords: np.ndarray, cutoff: int) -> np.ndarray:
-    """(..., (2N+1)^2) real coordinates -> (..., 2N+1, 2N+1) tables."""
+    """(..., (2N+1)^2) real coordinates -> (..., 2N+1, 2N+1) tables.
+
+    Coordinates are [w(0)] + [sqrt(2) Re w(n)] + [sqrt(2) Im w(n)] over
+    `real_coordinate_layout`'s half lattice, those in which the white-noise
+    measure is standard Gaussian: `measure.sample_batch` maps its normal
+    draws here, `verify.real_form_matrix` and `divergence_check` work in them.
+    """
     d, hi, hj = real_coordinate_layout(cutoff)
     coords = np.asarray(coords, dtype=float)
     out = np.zeros(coords.shape[:-1] + (d, d), dtype=complex)
     out[..., cutoff, cutoff] = coords[..., 0]
     h = len(hi)
-    re = coords[..., 1 : 1 + h]
-    im = coords[..., 1 + h : 1 + 2 * h]
-    out[..., hi, hj] = re + 1j * im
-    out[..., (d - 1) - hi, (d - 1) - hj] = re - 1j * im
+    vals = (coords[..., 1 : 1 + h] + 1j * coords[..., 1 + h :]) / np.sqrt(2.0)
+    out[..., hi, hj] = vals
+    out[..., (d - 1) - hi, (d - 1) - hj] = np.conj(vals)
     return out
 
 
 def coeffs_to_coords(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
-    """(..., 2N+1, 2N+1) tables -> (..., (2N+1)^2) real coordinates."""
+    """(..., 2N+1, 2N+1) tables -> (..., (2N+1)^2) real coordinates; the
+    inverse of `coords_to_coeffs`."""
     d, hi, hj = real_coordinate_layout(cutoff)
-    vals = coeffs[..., hi, hj]
+    vals = coeffs[..., hi, hj] * np.sqrt(2.0)
     zero = coeffs[..., cutoff, cutoff].real
-    return np.concatenate(
-        [zero[..., None], vals.real, vals.imag], axis=-1
-    )
+    return np.concatenate([zero[..., None], vals.real, vals.imag], axis=-1)
 
 
 def divergence_check(field: SpectralField, cutoff: int, h: float,
@@ -284,9 +288,11 @@ def divergence_check(field: SpectralField, cutoff: int, h: float,
                      with_scale: bool = False):
     """Central finite-difference divergence of the drift in real coordinates.
 
-    The drift is quadratic in the coefficients, so central differences are
-    exact up to rounding and the estimate sits at the roundoff floor of the
-    true value 0.  Pass a different `vector_field` (tables -> tables) to
+    The coordinates, and the step `h`, are those of `coords_to_coeffs`, in
+    which the white-noise measure is standard Gaussian; the trace does not
+    depend on their scaling.  The drift is quadratic, so central differences
+    are exact up to rounding and the estimate sits at the roundoff floor of
+    the true value 0.  Pass a different `vector_field` (tables -> tables) to
     probe other fields; the identity map returns the dimension (2N+1)^2.
 
     With `with_scale` also returns the Frobenius norm of the finite

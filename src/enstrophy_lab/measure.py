@@ -1,11 +1,12 @@
 """Sampling the projected white-noise measure and transporting densities.
 
-Coefficient samples are unit complex Gaussians on the canonical half
-lattice (plus a real standard normal zero mode), which realizes the
-covariance  E <w,phi><w,psi> = <phi,psi>_{H^0}  on the cutoff lattice.
-Streams are counter based: sample `index` under seed `s` is generated by a
-Philox generator keyed by (s, index), so ensembles are reproducible and
-order independent.  The key is derived exactly as
+A sample is a vector of standard normals in the real coordinates of
+`flow.coords_to_coeffs`, which maps it to unit complex Gaussians on the
+canonical half lattice plus a real standard normal zero mode; this
+realizes the covariance  E <w,phi><w,psi> = <phi,psi>_{H^0}  on the
+cutoff lattice.  Streams are counter based: sample `index` under seed `s`
+is generated by a Philox generator keyed by (s, index), so ensembles are
+reproducible and order independent.  The key is derived exactly as
 ``SeedSequence(entropy=s, spawn_key=(index,))`` derives it, vectorised over
 a batch of indices, so every stream is the one that numpy's own seeding
 gives.
@@ -30,8 +31,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import SpectralDrift
-from .fields import SpectralField, half_lattice_mask, pairings_batch, project, sobolev_norm
-from .flow import FlowParams, StepFailure, _resolve_drift, _run_padded
+from .fields import SpectralField, pairings_batch, project, sobolev_norm
+from .flow import FlowParams, StepFailure, _resolve_drift, _run_padded, coords_to_coeffs
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-# Rows drawn and assembled per block; small blocks keep the temporaries
-# (draws, values, conjugates) a few MB even at N=32.
+# Rows drawn and mapped to tables per block; small blocks keep the
+# temporaries a few MB even at N=32.
 _CHUNK_ROWS = 64
 # Members stepped together; it bounds memory and never changes results.
 # Each pool thread steps one chunk at a time: two threads at 128 stay near
@@ -119,48 +120,30 @@ def _philox_keys(seed: int, indices: Sequence[int]) -> np.ndarray:
     return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=-1)
 
 
-@functools.lru_cache(maxsize=None)
-def _half_layout(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the canonical half lattice and of their mirrors -n."""
-    d = 2 * cutoff + 1
-    flat = np.flatnonzero(half_lattice_mask(cutoff))
-    mirror = (d * d - 1) - flat
-    flat.setflags(write=False)
-    mirror.setflags(write=False)
-    return flat, mirror
-
-
 def sample_batch(spec: MeasureSpec, indices: Sequence[int]) -> np.ndarray:
     """Stacked coefficient tables; row i is a pure function of (spec, indices[i]).
 
-    Each row is one draw of ``1 + 2h`` standard normals from its own Philox
-    stream (zero mode, then the real and the imaginary parts of the h
-    half-lattice modes); one generator is re-keyed per row.
+    Each row is `flow.coords_to_coeffs` of one draw of (2N+1)^2 standard
+    normals from its own Philox stream; one generator is re-keyed per row.
     """
     d = 2 * spec.cutoff + 1
-    flat, mirror = _half_layout(spec.cutoff)
-    h = len(flat)
     keys = _philox_keys(spec.seed, indices)
     m = len(keys)
-    out = np.zeros((m, d * d), dtype=complex)
+    out = np.empty((m, d, d), dtype=complex)
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     # A fresh Philox(key=k): counter 0 and an empty output buffer.
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    draws = np.empty((min(m, _CHUNK_ROWS), 1 + 2 * h))
+    draws = np.empty((min(m, _CHUNK_ROWS), d * d))
     for start in range(0, m, _CHUNK_ROWS):
         rows = draws[: min(_CHUNK_ROWS, m - start)]
         for row, key in zip(rows, keys[start : start + len(rows)].tolist()):
             state["state"]["key"] = key
             bitgen.state = state
             gen.standard_normal(out=row)
-        block = out[start : start + len(rows)]
-        vals = (rows[:, 1 : 1 + h] + 1j * rows[:, 1 + h :]) / np.sqrt(2.0)
-        block[:, flat] = vals
-        block[:, mirror] = np.conj(vals)
-        block[:, (d * d) // 2] = rows[:, 0]
-    return out.reshape(m, d, d)
+        out[start : start + len(rows)] = coords_to_coeffs(rows, spec.cutoff)
+    return out
 
 
 def sample_white_noise(spec: MeasureSpec, index: int) -> SpectralField:

@@ -36,6 +36,7 @@ from .dynamics import (
     SpectralDrift,
     dirichlet_values,
     drift,
+    offset_nodes,
     quadratic_coefficients,
     quadratic_pairing_batch,
     symmetry_integral,
@@ -269,15 +270,14 @@ def measured_sup_symmetrized(ke: KernelEval, base_grid: int = 12, diff_grid: int
 def real_form_matrix(form: QuadraticForm) -> np.ndarray:
     """The pairing as a real symmetric matrix on real coordinates.
 
-    Columns follow the [zero mode, Re half modes, Im half modes] layout;
-    eigenvalues of the result give the exact critical exponent
-    1/(2 max|eig|) for exponential integrability of the pairing.
+    The coordinates are those of `flow.coords_to_coeffs`, in which the
+    white-noise measure is the standard Gaussian, so eigenvalues of the
+    result give the exact critical exponent 1/(2 max|eig|) for exponential
+    integrability of the pairing.
     """
     dim = (2 * form.cutoff + 1) ** 2
-    scale = np.full(dim, 1.0 / np.sqrt(2.0))
-    scale[0] = 1.0
-    # column k is the coefficient table of coordinate k scaled to unit variance
-    t = coords_to_coeffs(np.diag(scale), form.cutoff).reshape(dim, dim).T
+    # column k is the coefficient table of coordinate k
+    t = coords_to_coeffs(np.eye(dim), form.cutoff).reshape(dim, dim).T
     b = t.T @ form.matrix() @ t
     b = 0.5 * (b + b.T)
     if float(np.abs(b.imag).max()) > 1e-10 * max(1.0, float(np.abs(b.real).max())):
@@ -468,15 +468,12 @@ def exp_integrability_test(phi: Optional[SpectralField], eps_list: Sequence[floa
     series_ok = series_rows[0]["converged"] and not series_rows[0]["diverged"] and series_rows[1]["diverged"]
     passed = passed and ratio_ok and series_ok
     critical = None
-    n_small = min(n_list)
-    if (2 * n_small + 1) ** 2 <= 1200:
-        if kernel_kind == "drift":
-            form = DenseForm(n_small, quadratic_coefficients(phi, n_small).matrix() / sup)
-        else:
-            form = exchange_kernel(n_small)
+    small = forms[0]  # the form at min(n_list)
+    if (2 * small.cutoff + 1) ** 2 <= 1200:
+        form = DenseForm(small.cutoff, small.matrix() / sup)
         top = float(np.abs(np.linalg.eigvalsh(real_form_matrix(form))).max())
         critical = 1.0 / (2.0 * top) if top > 0 else math.inf  # a zero form never blows up
-        notes.append(f"exact critical exponent at N={n_small}: {critical:.6g} (from extreme eigenvalue)")
+        notes.append(f"exact critical exponent at N={small.cutoff}: {critical:.6g} (from extreme eigenvalue)")
     summary = {"kernel": kernel_kind, "series_ratio_04": series_rows[0]["tail_ratio"],
                "series_ratio_06": series_rows[1]["tail_ratio"],
                "series_converged_04": series_rows[0]["converged"],
@@ -623,7 +620,7 @@ def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int 
     if size < 4 * max(n_list) + 4:
         raise ValueError("quadrature size must be at least 4*max(N)+4")
     ke = KernelEval(phi, k_max=k_max)
-    nodes = (2 * np.arange(size) + 1 - size) / (2 * size)  # antisymmetric bit for bit
+    nodes = offset_nodes(size)
     s_basis = [np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
     rows = []
     passed = True

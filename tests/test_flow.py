@@ -201,6 +201,17 @@ class TestDivergenceCheck:
             divergence_check(unit_field(2), 2, 0.0)
 
 
+class TestRealCoordinates:
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 5])
+    def test_round_trip(self, cutoff):
+        dim = (2 * cutoff + 1) ** 2
+        x = np.random.default_rng(11).standard_normal((40, dim))
+        coeffs = flow.coords_to_coeffs(x, cutoff)
+        assert np.array_equal(coeffs, np.conj(coeffs[..., ::-1, ::-1]))
+        back = flow.coeffs_to_coords(coeffs, cutoff)
+        assert np.all(np.abs(back - x) <= 1e-15 * np.abs(x))
+
+
 def _golden_drift(kind, cutoff):
     shift = 1.5 * SpectralField.from_modes(cutoff, {(1, 0): 0.5, (1, 2): 0.25}).coeffs
     return {"default": None, "reversed": SpectralDrift(cutoff, sign=-1.0),

@@ -8,6 +8,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from enstrophy_lab.cylinder import CylinderFunctional, bounded_window, ramp_down
 from enstrophy_lab.dynamics import SpectralDrift
@@ -24,7 +25,6 @@ from enstrophy_lab.measure import (
     pushforward,
     sample_batch,
     weak_form_residual,
-    _half_layout,
     _philox_keys,
 )
 
@@ -66,6 +66,26 @@ class TestSampler:
         var = v.var(ddof=1)
         se_var = np.sqrt((np.mean((v - v.mean()) ** 4) - var ** 2) / len(v))
         assert abs(var - 0.5) <= 3 * se_var
+
+    def test_coordinates_standard_gaussian(self):
+        # every mean and covariance entry of the 25 coordinates at N=2; the
+        # band per entry makes the family-wise level that of one 3-SE band
+        m, dim = 20000, 25
+        x = flow.coeffs_to_coords(sample_batch(MeasureSpec(cutoff=2, seed=SPEC.seed), range(m)), 2)
+        band = scipy.stats.norm.isf(scipy.stats.norm.sf(3.0) / (dim + dim * (dim + 1) // 2))
+        assert np.all(np.abs(x.mean(axis=0)) <= band * x.std(axis=0, ddof=1) / np.sqrt(m))
+        cov = x.T @ x / m
+        se = np.sqrt(((x * x).T @ (x * x) / m - cov ** 2) / (m - 1))
+        assert np.all(np.abs(cov - np.eye(dim)) <= band * se)
+
+    def test_rows_are_raw_draws_in_real_coordinates(self):
+        # across a block boundary and for an index of two 32-bit words
+        indices = list(range(150)) + [2**32 + 1]
+        raw = np.stack([
+            np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=SPEC.seed, spawn_key=(i,)))).standard_normal(81)
+            for i in indices])
+        assert np.array_equal(sample_batch(SPEC, indices), flow.coords_to_coeffs(raw, SPEC.cutoff))
 
     def test_expected_squared_norm(self):
         batch = sample_batch(SPEC, range(20000))
@@ -168,7 +188,7 @@ class TestSamplerBytes:
         # thread must see the serial bytes
         specs = [MeasureSpec(cutoff=n, seed=5) for n in range(1, 7)]
         serial = [sample_batch(spec, range(40)) for spec in specs]
-        _half_layout.cache_clear()
+        flow.real_coordinate_layout.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -181,9 +201,9 @@ class TestSamplerBytes:
             assert np.array_equal(batch, serial[i % len(specs)])
 
     def test_layout_read_only_and_tables_writable(self):
-        flat, mirror = _half_layout(SPEC.cutoff)
-        assert not flat.flags.writeable and not mirror.flags.writeable
-        assert len(flat) == (9 * 9 - 1) // 2
+        d, hi, hj = flow.real_coordinate_layout(SPEC.cutoff)
+        assert not hi.flags.writeable and not hj.flags.writeable
+        assert d == 9 and len(hi) == len(hj) == (9 * 9 - 1) // 2
         # the returned tables are fresh and writable
         batch = sample_batch(SPEC, [0, 1])
         batch[0, 0, 0] = 1.0

@@ -88,13 +88,10 @@ class TestReferenceKernels:
         RankOneForm(named_test_field("mix_low"), named_test_field("cos_2x1_plus_x2"), 2),
     ])
     def test_real_form_matrix_is_the_pairing_on_real_coordinates(self, form):
-        # coordinates of unit variance: the zero mode, then sqrt(2) Re and sqrt(2) Im
         dim = (2 * form.cutoff + 1) ** 2
-        scale = np.full(dim, 1.0 / np.sqrt(2.0))
-        scale[0] = 1.0
         x = np.random.default_rng(4).standard_normal((20, dim))
         got = np.einsum("ki,ij,kj->k", x, real_form_matrix(form), x)
-        ref = quadratic_pairing_batch(coords_to_coeffs(x * scale, form.cutoff), form.cutoff, form)
+        ref = quadratic_pairing_batch(coords_to_coeffs(x, form.cutoff), form.cutoff, form)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_zero_kernel_exponential_moment_is_one(self):
