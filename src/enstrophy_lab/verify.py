@@ -25,7 +25,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.stats
 from scipy.special import gammaln
 
 from .cylinder import CylinderFunctional, bounded_window, ramp_down
@@ -54,6 +53,7 @@ from .fields import (
     to_grid,
 )
 from .flow import FlowParams, coords_to_coeffs
+from .ks import ks_norm
 from .measure import (
     GaussianTilt,
     MeasureSpec,
@@ -579,10 +579,10 @@ def invariance_test(spec: MeasureSpec, params: FlowParams,
         sigma = sobolev_norm(phi, 0.0)
         before = ensemble.pairings([phi])[:, 0]
         after = moved.pairings([phi])[:, 0]
-        stat, pval = scipy.stats.kstest(after, "norm", args=(0.0, sigma))
+        stat, pval = ks_norm(after, sigma)
         pvals.append(pval)
         mean, se = _mean_se(after)
-        rows.append({"observable": j, "ks_stat": float(stat), "p_value": float(pval),
+        rows.append({"observable": j, "ks_stat": stat, "p_value": pval,
                      "sigma": sigma, "n_samples": count, "stage": "after", "moment": 0,
                      "estimate": mean, "std_error": se})
         for r in _moment_rows(before, "before") + _moment_rows(after, "after"):

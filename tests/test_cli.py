@@ -619,9 +619,11 @@ class TestBundledConfig:
 
 class TestMain:
     def test_import_leaves_out_scipy_signal(self):
-        # a fresh process: the drift oracle is a numpy convolution
+        # a fresh process: the drift oracle is a numpy convolution, and the
+        # KS p-value is computed in-tree (enstrophy_lab.ks)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(enstrophy_lab.__file__)))
-        code = "import sys, enstrophy_lab.cli; sys.exit('scipy.signal' in sys.modules)"
+        code = ("import sys, enstrophy_lab.cli; "
+                "sys.exit('scipy.signal' in sys.modules or 'scipy.stats' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_cli_entry_run(self, tmp_path):
