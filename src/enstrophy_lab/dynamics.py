@@ -44,8 +44,8 @@ from .fields import (
     SpectralField,
     _mode_exponentials,
     _nonuniform_sum,
+    conjugate_residual,
     embed_layout,
-    evaluate_at,
     extract_layout,
     gradient_at,
     mode_grids,
@@ -79,7 +79,7 @@ class VelocityField:
         for comp in (self.u1, self.u2):
             if comp.shape != (d, d):
                 raise ValueError("velocity component table has wrong shape")
-            resid = np.abs(comp - np.conj(comp[::-1, ::-1])).max()
+            resid = conjugate_residual(comp)
             if resid > HARD_TOL:
                 raise InvariantViolation(f"velocity reality violated by {resid:.3e}")
             comp.setflags(write=False)
@@ -296,7 +296,7 @@ class DenseForm(QuadraticForm):
             raise ValueError("quadratic form matrix has wrong shape")
         if np.abs(table - table.T).max() > HARD_TOL:
             raise InvariantViolation("quadratic form not symmetric")
-        if np.abs(table - np.conj(table[::-1, ::-1])).max() > HARD_TOL:
+        if conjugate_residual(table) > HARD_TOL:
             raise InvariantViolation("quadratic form conjugation property broken")
         self.cutoff = cutoff
         self._table = np.array(table)
@@ -467,71 +467,34 @@ class KernelEval:
         return val - self.leading_term(x, y)
 
 
-def _separable_axis_values(field: SpectralField, nodes: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Exact per-axis factors when the coefficient table factorizes.
-
-    For real even factors the per-axis sums are evaluated as cosine series,
-    which makes the grid values bitwise symmetric under reflection and swap;
-    the quadrature in `symmetry_integral` then cancels exactly.
-    """
-    c = field.coeffs
-    n = field.cutoff
-    piv = c[n, n]
-    if piv == 0:
-        return None
-    col, row = c[:, n] / piv, c[n, :] / piv
-    if not np.array_equal(np.outer(col, row) * piv, c):
-        return None
-
-    def axis_vals(vec: np.ndarray) -> Optional[np.ndarray]:
-        if np.abs(vec.imag).max() > 0:
-            return None
-        v = vec.real
-        if not np.array_equal(v, v[::-1]):
-            return None
-        k = np.arange(1, n + 1)
-        base = np.full(nodes.shape, v[n])
-        if n > 0:
-            base = base + 2.0 * np.cos(2 * np.pi * np.outer(nodes, k)) @ v[n + 1 :]
-        return base
-
-    a = axis_vals(col * piv)
-    b = axis_vals(row)
-    if a is None or b is None:
-        return None
-    return a, b
-
-
 def offset_nodes(size: int) -> np.ndarray:
     """Midpoints (2a + 1 - G)/(2G) of [-1/2, 1/2), G = size; antisymmetric bit for bit."""
     return (2 * np.arange(size) + 1 - size) / (2 * size)
 
 
-def symmetry_integral(w_field: SpectralField, s_matrix: np.ndarray, size: int) -> float:
+def symmetry_integral(w_values: np.ndarray, s_matrix: np.ndarray) -> float:
     """Midpoint quadrature of integral of W(x) <S x/|x|, perp(x)/|x|> dx.
 
-    The grid is `offset_nodes(size)` squared, which is closed under
-    reflections and coordinate swap, bit for bit at every even G, and
-    excludes the origin.
-    Summands are folded over those symmetries first, so for even
-    swap-symmetric W the cancellation is exact and only rounding remains.
+    `w_values` holds the samples W(x1_a, x2_b) on `offset_nodes(G)` squared,
+    a square G x G grid with G even, taken from their shape.  That grid is
+    closed under reflections and coordinate swap, bit for bit, and excludes
+    the origin.  Summands are folded over those symmetries first, so samples
+    that are bitwise even in each axis and swap-symmetric give exactly 0.0
+    for every symmetric S; otherwise only rounding of the folds remains.
     """
-    if size % 2 != 0:
-        raise ValueError("quadrature size must be even")
+    w_values = np.asarray(w_values, dtype=float)
+    size = len(w_values)
+    if w_values.shape != (size, size) or size % 2 != 0:
+        raise ValueError(f"samples must be a G x G grid with G even, got shape {w_values.shape}")
     s_matrix = np.asarray(s_matrix, dtype=float)
     if s_matrix.shape != (2, 2) or s_matrix[0, 1] != s_matrix[1, 0]:
         raise ValueError("S must be a symmetric 2x2 matrix")
     nodes = offset_nodes(size)
     x1, x2 = np.meshgrid(nodes, nodes, indexing="ij")
-    sep = _separable_axis_values(w_field, nodes)
-    if sep is not None:
-        wvals = np.outer(sep[0], sep[1])
-    else:
-        wvals = evaluate_at(w_field, np.stack([x1, x2], axis=-1))
     rr = x1 ** 2 + x2 ** 2
     # <S xh, perp(xh)> with perp(x) = (x2, -x1)
-    angular = ((s_matrix[0, 0] - s_matrix[1, 1]) * x1 * x2 + s_matrix[0, 1] * (x2 ** 2 - x1 ** 2)) / rr
-    t = wvals * angular
+    angular = ((s_matrix[0, 0] - s_matrix[1, 1]) * (x1 * x2) + s_matrix[0, 1] * (x2 ** 2 - x1 ** 2)) / rr
+    t = w_values * angular
     folded = t + t[::-1, :]          # x1 -> -x1 kills the x1*x2 part
     folded = folded + folded.T       # swap kills the x2^2 - x1^2 part
     return float(np.sum(folded) / 4.0 / (size * size))

@@ -60,6 +60,11 @@ def _canonical_reality(coeffs: np.ndarray) -> np.ndarray:
     return sym
 
 
+def conjugate_residual(table: np.ndarray) -> float:
+    """max |a - conj(a reversed on its last two axes)|; zero iff a(-n) == conj(a(n))."""
+    return float(np.abs(table - np.conj(table[..., ::-1, ::-1])).max())
+
+
 class SpectralField:
     """Immutable coefficient table of a real field, cutoff N.
 
@@ -75,7 +80,7 @@ class SpectralField:
         arr = np.asarray(coeffs, dtype=complex)
         if arr.shape != (d, d):
             raise ValueError(f"coefficient table must be {d}x{d}, got {arr.shape}")
-        resid = np.abs(arr - np.conj(arr[::-1, ::-1])).max()
+        resid = conjugate_residual(arr)
         if resid > HARD_TOL:
             raise InvariantViolation(f"reality constraint violated by {resid:.3e}")
         arr = _canonical_reality(arr)

@@ -636,7 +636,7 @@ def dirichlet_kernel_study(phi: SpectralField, n_list: Sequence[int], size: int 
         conv = np.fft.ifft2(np.fft.fft2(tg) ** 2).real / (g2 * g2)
         wcoef = grid_to_coeffs(conv, n)
         conv_dev = float(np.abs(wcoef - 1.0).max())
-        sym_vals = [abs(symmetry_integral(dirichlet_kernel(n), s, size)) for s in s_basis]
+        sym_vals = [abs(symmetry_integral(theta, s)) for s in s_basis]
         est = trace_integral(ke, n, size, tables)
         spectral = quadratic_coefficients(phi, n).trace()
         ok = (

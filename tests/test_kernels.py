@@ -5,11 +5,13 @@ import pytest
 
 from enstrophy_lab.dynamics import (
     KernelEval,
+    dirichlet_values,
+    offset_nodes,
     quadratic_coefficients,
     symmetry_integral,
     trace_integral,
 )
-from enstrophy_lab.fields import SpectralField, dirichlet_kernel
+from enstrophy_lab.fields import SpectralField, evaluate_at
 
 
 PHI = SpectralField.from_modes(1, {(1, 1): 0.5})  # cos(2 pi (x1 + x2))
@@ -95,29 +97,53 @@ class TestKernelEval:
         assert q_right[1] <= 1.3 * q_right[0]
 
 
+def theta_samples(n, size):
+    d = dirichlet_values(n, offset_nodes(size))
+    return np.outer(d, d)
+
+
+# the S basis of the dirichlet_kernel battery
+S_BASIS = [np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+
+
 class TestSymmetryIntegral:
     def test_identity_matrix(self):
-        assert abs(symmetry_integral(dirichlet_kernel(2), np.eye(2), 64)) <= 1e-13
+        assert abs(symmetry_integral(theta_samples(2, 64), np.eye(2))) <= 1e-13
 
     def test_off_diagonal_matrix(self):
         s = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert abs(symmetry_integral(dirichlet_kernel(4), s, 128)) <= 1e-13
+        assert abs(symmetry_integral(theta_samples(4, 128), s)) <= 1e-13
 
     def test_diag_contrast_matrix(self):
-        assert abs(symmetry_integral(dirichlet_kernel(2), np.diag([1.0, -1.0]), 64)) <= 1e-13
+        assert abs(symmetry_integral(theta_samples(2, 64), np.diag([1.0, -1.0]))) <= 1e-13
 
     def test_shifted_kernel_is_generically_nonzero(self):
         # negative control: breaking evenness breaks the cancellation
         n = 2
-        d = 2 * n + 1
         n1, n2 = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1), indexing="ij")
         shifted = SpectralField(n, np.exp(-2j * np.pi * (0.21 * n1 + 0.13 * n2)))
-        val = symmetry_integral(shifted, np.diag([1.0, -1.0]), 64)
-        assert abs(val) > 1e-6
+        x1, x2 = np.meshgrid(offset_nodes(64), offset_nodes(64), indexing="ij")
+        val = symmetry_integral(evaluate_at(shifted, np.stack([x1, x2], axis=-1)), np.diag([1.0, -1.0]))
+        assert val == 0.9412680025439245
+
+    def test_symmetric_samples_cancel_exactly(self):
+        # neither separable nor mean-free: the cancellation rests on the
+        # bitwise symmetries of the samples alone
+        w = np.random.default_rng(5).standard_normal((40, 40))
+        w = w + w[::-1]
+        w = w + w[:, ::-1]
+        w = w + w.T
+        assert [symmetry_integral(w, s) for s in S_BASIS] == [0.0] * 3
+        # any symmetric S, not only the basis: x1*x2 is formed swap-symmetrically
+        assert symmetry_integral(w, np.array([[0.3, -0.7], [-0.7, 1.9]])) == 0.0
 
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
-            symmetry_integral(dirichlet_kernel(1), np.eye(2), 63)
+            symmetry_integral(theta_samples(1, 63), np.eye(2))
+
+    def test_non_square_grid_rejected(self):
+        with pytest.raises(ValueError):
+            symmetry_integral(np.ones((64, 32)), np.eye(2))
 
 
 class TestTraceIntegral:

@@ -242,7 +242,8 @@ class TestDirichletKernelStudy:
     @pytest.mark.parametrize("n_list,size", [([8], 36), ([2, 4, 8], 40), ([8, 16], 68)])
     def test_nodes_antisymmetric_at_any_even_size(self, n_list, size):
         rep = dirichlet_kernel_study(named_test_field("cos_x1_plus_x2"), n_list, size)
-        assert [row["reflect_dev"] for row in rep.table] == [0.0] * len(n_list)
+        for key in ("reflect_dev", "swap_dev", "sym_integral_max"):
+            assert [row[key] for row in rep.table] == [0.0] * len(n_list)
         assert rep.passed
 
 
