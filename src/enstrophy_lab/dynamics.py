@@ -42,8 +42,6 @@ from .fields import (
     HARD_TOL,
     InvariantViolation,
     SpectralField,
-    _mode_exponentials,
-    _nonuniform_sum,
     conjugate_residual,
     embed_layout,
     extract_layout,
@@ -53,6 +51,7 @@ from .fields import (
     project,
     project_coeffs,
     real_part,
+    series_at,
 )
 
 _TWO_PI_I = 2j * np.pi
@@ -395,10 +394,7 @@ class KernelEval:
         return tuple(k * mask for k in self._k)
 
     def _kernel_sum(self, z: np.ndarray, k_cut: int) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        e1, e2 = _mode_exponentials(z, self.k_max)
-        k1, k2 = (_nonuniform_sum(c, e1, e2).real for c in self._multipliers(k_cut))
-        return np.stack([k1, k2], axis=-1).reshape(z.shape)
+        return series_at(self._multipliers(k_cut), z)
 
     def grid_sum(self, a: np.ndarray, b: np.ndarray, k_cut: int) -> np.ndarray:
         """Truncated kernel series at the displacements (a_i, b_j), shape (len(a), len(b), 2).
@@ -438,15 +434,10 @@ class KernelEval:
 
     def hessian_at(self, points: np.ndarray) -> np.ndarray:
         """Second derivative matrix of phi at the points, shape (..., 2, 2)."""
-        pts = np.asarray(points, dtype=float)
-        e1, e2 = _mode_exponentials(pts, self.phi.cutoff)
-        n1, n2 = mode_grids(self.phi.cutoff)
-        out = np.empty((e1.shape[0], 2, 2))
-        for a, na in ((0, n1), (1, n2)):
-            for b, nb in ((0, n1), (1, n2)):
-                c = (_TWO_PI_I * na) * (_TWO_PI_I * nb) * self.phi.coeffs
-                out[:, a, b] = _nonuniform_sum(c, e1, e2).real
-        return out.reshape(pts.shape[:-1] + (2, 2))
+        n = mode_grids(self.phi.cutoff)
+        vals = series_at([(_TWO_PI_I * na) * (_TWO_PI_I * nb) * self.phi.coeffs
+                          for na in n for nb in n], points)
+        return vals.reshape(vals.shape[:-1] + (2, 2))
 
     def leading_term(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Diagonal leading part (4 pi)^-1 <D2phi(x) zh, perp(zh)>, minimal image z."""

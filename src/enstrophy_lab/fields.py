@@ -276,31 +276,30 @@ def from_grid(grid: GridField, cutoff: int) -> SpectralField:
 
 
 def _nonuniform_sum(coeffs: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    # (e1 @ C) rows dotted with e2 rows; the product is a BLAS call, whose
-    # summation order may follow the BLAS thread count
+    # one table at the points of `series_at`: (e1 @ C) rows dotted with e2
+    # rows, by a BLAS product whose summation order may follow its thread count
     return np.sum((e1 @ coeffs) * e2, axis=1)
 
 
-def _mode_exponentials(points: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp(2 pi i x_a n) for n = -N..N at the points (..., 2), one (P, 2N+1) table per axis."""
-    flat = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = mode_range(cutoff)
-    return np.exp(_TWO_PI_I * np.outer(flat[:, 0], n)), np.exp(_TWO_PI_I * np.outer(flat[:, 1], n))
+def series_at(tables: Sequence[np.ndarray], points: np.ndarray) -> np.ndarray:
+    """Real Fourier series of (2K+1, 2K+1) tables at points (..., 2) -> (..., len(tables)).
+
+    The tables share one cutoff K; the mode exponentials exp(2 pi i x_a n)
+    are built once per call, and each table is summed on its own.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = mode_range(len(tables[0]) // 2)
+    e1, e2 = (np.exp(_TWO_PI_I * np.outer(x, n)) for x in pts.reshape(-1, 2).T)
+    vals = np.stack([_nonuniform_sum(c, e1, e2).real for c in tables], axis=-1)
+    return vals.reshape(pts.shape[:-1] + (len(tables),))
 
 
 def evaluate_at(field: SpectralField, points: np.ndarray) -> np.ndarray:
     """Evaluate the field at arbitrary torus points, shape (..., 2) -> (...)."""
-    pts = np.asarray(points, dtype=float)
-    e1, e2 = _mode_exponentials(pts, field.cutoff)
-    vals = _nonuniform_sum(field.coeffs, e1, e2)
-    return vals.real.reshape(pts.shape[:-1])
+    return series_at([field.coeffs], points)[..., 0]
 
 
 def gradient_at(field: SpectralField, points: np.ndarray) -> np.ndarray:
     """Gradient of the field at arbitrary points, shape (..., 2) -> (..., 2)."""
-    pts = np.asarray(points, dtype=float)
-    e1, e2 = _mode_exponentials(pts, field.cutoff)
     n1, n2 = mode_grids(field.cutoff)
-    g1 = _nonuniform_sum(_TWO_PI_I * n1 * field.coeffs, e1, e2)
-    g2 = _nonuniform_sum(_TWO_PI_I * n2 * field.coeffs, e1, e2)
-    return np.stack([g1.real, g2.real], axis=-1).reshape(pts.shape)
+    return series_at([_TWO_PI_I * n1 * field.coeffs, _TWO_PI_I * n2 * field.coeffs], points)

@@ -137,6 +137,12 @@ class TestConfigValidation:
         # checks nothing
         ("invariance", {"N": 2, "M": 50, "T": 0}, "T"),
         ("invariance_negative", {"N": 2, "M": 50, "T": 0}, "T"),
+        # an unknown kernel kind, one cutoff where two are compared, and no
+        # observable
+        ("wick_mean", {"N": 2, "M": 1000, "kernel": "bogus"}, "kernel"),
+        ("exp_integrability", {"M": 200, "N_list": [2, 4], "kernel": "bogus"}, "kernel"),
+        ("cauchy", {"N_list": [4], "M": 100}, "N_list"),
+        ("invariance", {"N": 2, "M": 50, "T": 0.02, "observables": []}, "observables"),
     ])
     def test_entries_checked_before_any_battery_runs(self, tmp_path, capsys, name, params, field):
         # a valid entry first: nothing may run, and no output directory appear
@@ -160,6 +166,11 @@ class TestConfigValidation:
         ({"seed": 1, "out_dir": 5, "tests": [VALID]}, "out_dir"),
         # an empty one raised FileNotFoundError in os.makedirs, exit 1
         ({"seed": 1, "out_dir": "", "tests": [VALID]}, "out_dir"),
+        # a config, a test list, an entry or a params of the wrong JSON type
+        ([VALID], "config"),
+        ({"seed": 1, "tests": {}}, "tests"),
+        ({"seed": 1, "tests": [VALID, "moment_bound"]}, "tests[1]"),
+        ({"seed": 1, "tests": [VALID, {"name": "moment_bound", "params": []}]}, "tests[1].params"),
     ])
     def test_unknown_keys_and_bad_out_dir_checked_first(self, tmp_path, monkeypatch, capsys,
                                                         payload, field):

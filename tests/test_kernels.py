@@ -11,7 +11,7 @@ from enstrophy_lab.dynamics import (
     symmetry_integral,
     trace_integral,
 )
-from enstrophy_lab.fields import SpectralField, evaluate_at
+from enstrophy_lab.fields import SpectralField, evaluate_at, series_at
 
 
 PHI = SpectralField.from_modes(1, {(1, 1): 0.5})  # cos(2 pi (x1 + x2))
@@ -45,6 +45,20 @@ class TestKernelEval:
         grid = ke.grid_sum(a, b, k_cut)
         assert grid.shape == (len(a), len(b), 2)
         assert np.abs(grid - rows).max() <= 1e-13 * np.abs(rows).max()
+
+    def test_hessian_at_point_and_batch(self, ke, rng):
+        # every second derivative of cos 2 pi (x1 + x2) is -4 pi^2 cos 2 pi (x1 + x2);
+        # the bound is relative to that amplitude
+        for pts in (np.array([0.31, 0.17]), rng.uniform(size=(5, 3, 2))):
+            exact = -4.0 * np.pi ** 2 * np.cos(2 * np.pi * pts.sum(axis=-1))
+            hess = ke.hessian_at(pts)
+            assert hess.shape == pts.shape[:-1] + (2, 2)
+            assert np.abs(hess - exact[..., None, None]).max() <= 1e-12 * 4.0 * np.pi ** 2
+        # several tables in one call: each sums exactly as it does alone
+        tables = [PHI.coeffs, SpectralField.from_modes(1, {(1, 0): 0.25j, (0, 1): 1.5}).coeffs]
+        both = series_at(tables, pts)
+        for j, table in enumerate(tables):
+            assert np.array_equal(both[..., j], series_at([table], pts)[..., 0])
 
     def test_pair_symmetric(self, ke):
         x = np.array([0.31, 0.17])

@@ -79,7 +79,7 @@ class TestReferenceKernels:
             assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_critical_epsilon_exchange(self):
-        eig = np.linalg.eigvalsh(real_form_matrix(exchange_kernel(2)))
+        eig = np.linalg.eigvalsh(real_form_matrix(exchange_kernel(2).matrix()))
         assert abs(1.0 / (2 * np.abs(eig).max()) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("form", [
@@ -90,7 +90,7 @@ class TestReferenceKernels:
     def test_real_form_matrix_is_the_pairing_on_real_coordinates(self, form):
         dim = (2 * form.cutoff + 1) ** 2
         x = np.random.default_rng(4).standard_normal((20, dim))
-        got = np.einsum("ki,ij,kj->k", x, real_form_matrix(form), x)
+        got = np.einsum("ki,ij,kj->k", x, real_form_matrix(form.matrix()), x)
         ref = quadratic_pairing_batch(coords_to_coeffs(x, form.cutoff), form.cutoff, form)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -191,6 +191,18 @@ class TestBatteryGuards:
     def test_kernel_and_measure_cutoffs_must_agree(self, battery):
         with pytest.raises(ValueError, match="cutoffs differ"):
             battery(MeasureSpec(cutoff=3, seed=0))
+
+    def test_moment_past_float_range_reads_null_without_warning(self):
+        # exp(1000 |q|) overflows: the overflow and the inf - inf of the
+        # standard error warned, an error under Tier-1's error::RuntimeWarning
+        spec = MeasureSpec(cutoff=4, seed=3)
+        rows = json.loads(exp_integrability_test(None, [0.1, 0.4, 1000.0], spec, 200, [2, 4])
+                          .to_json())["table"]
+        finite = json.loads(exp_integrability_test(None, [0.1, 0.4], spec, 200, [2, 4])
+                            .to_json())["table"]
+        assert [r for r in rows if r["eps"] != 1000.0] == finite
+        big = [r for r in rows if r["eps"] == 1000.0]
+        assert len(big) == 2 and all(r["estimate"] is None for r in big)
 
     def test_named_field_unknown(self):
         with pytest.raises(ValueError):
